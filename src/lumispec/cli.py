@@ -9,10 +9,11 @@ variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .engine import (
     SweepRecord,
     run_triplicate,
 )
-from .errors import DataIoError, LayoutError, LumispecError, MalformedHeaderError
+from .errors import DataIoError, LayoutError, LumispecError
 from .geometry import FlatSurface, PivotGeometry, SphereSurface, SurfaceModel
 from .optics import AngularResponse, OpticalConfig
 from .spectral import (
@@ -38,126 +39,35 @@ from .spectral import (
 )
 
 SEED_ENV_VAR = "LUMISPEC_SEED"
-PROFILE_HEADER = "angle_deg,auc_norm_mean,auc_norm_std,n_trials"
-PROFILE_FILE = "profile.csv"
-
-
-# --- profile.csv ------------------------------------------------------------
-
-def write_profile(
-    path,
-    angles_deg: np.ndarray,
-    mean: np.ndarray,
-    std: np.ndarray,
-    n_trials: int,
-) -> None:
-    lines = [PROFILE_HEADER]
-    for a, m, s in zip(angles_deg, mean, std):
-        lines.append("%.6f,%.9f,%.9f,%d" % (a, m, s, n_trials))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DataIoError(f"cannot write profile {path}: {exc}") from exc
-
-
-def read_profile(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Parse profile.csv into (angles, mean, std, n_trials)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataIoError(f"cannot read profile {path}: {exc}") from exc
-
-    lines = text.splitlines()
-    if not lines or lines[0] != PROFILE_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise MalformedHeaderError(
-            f"expected header {PROFILE_HEADER!r}, got {got!r}"
-        )
-    angles: list[float] = []
-    means: list[float] = []
-    stds: list[float] = []
-    n_trials: Optional[int] = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = raw.split(",")
-        if len(fields) != 4:
-            raise DataIoError(
-                f"profile line {lineno}: expected 4 fields, got {len(fields)}"
-            )
-        try:
-            angles.append(float(fields[0]))
-            means.append(float(fields[1]))
-            stds.append(float(fields[2]))
-            n = int(fields[3])
-        except ValueError as exc:
-            raise DataIoError(f"profile line {lineno}: {exc}") from exc
-        if n_trials is None:
-            n_trials = n
-        elif n != n_trials:
-            raise DataIoError(
-                f"profile line {lineno}: inconsistent n_trials {n} vs {n_trials}"
-            )
-    if n_trials is None:
-        raise DataIoError(f"profile {path} has no data rows")
-    return (
-        np.asarray(angles),
-        np.asarray(means),
-        np.asarray(stds),
-        n_trials,
-    )
 
 
 # --- argument plumbing ------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind: type, requirement: str, accept: Callable[[Any], bool] = lambda v: True):
+    """argparse type: parse text as ``kind``, then require ``accept(value)``.
+
+    Floats must also be finite.
+    """
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}")
+        if (kind is float and not math.isfinite(value)) or not accept(value):
+            got = value if kind is int else text
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {got}")
+        return value
+
+    return convert
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+_positive_int = _number(int, ">= 1", lambda v: v >= 1)
+_nonneg_int = _number(int, ">= 0", lambda v: v >= 0)
+_positive_float = _number(float, "a finite positive number", lambda v: v > 0)
+_nonneg_float = _number(float, "a finite non-negative number", lambda v: v >= 0)
+_finite_float = _number(float, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,14 +241,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     mean = mean / scale
     std = std / scale
 
-    profile_path = Path(args.run) / PROFILE_FILE
-    write_profile(profile_path, angles, mean, std, len(records))
+    profile_path = Path(args.run) / dataio.PROFILE_FILE
+    dataio.write_profile(profile_path, angles, mean, std, len(records))
     print(f"wrote {profile_path}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    angles, mean, _std, _n = read_profile(args.profile)
+    angles, mean, _std, _n = dataio.read_profile(args.profile)
     profile = auc_profile(mean, angles)
     stats = profile_stats(profile)
     print(
@@ -365,13 +275,11 @@ def cmd_export_svg(args: argparse.Namespace) -> int:
                 spectrum = smooth_window2(normalize_above_cutoff(spectrum))
             return spectrum.intensities
 
-        n_steps = records[0].plan.n_steps
-        series = []
-        for step in range(n_steps):
-            stack = np.vstack(
-                [view(record.entries[step][1]) for record in records]
-            )
-            series.append((grid, stack.mean(axis=0)))
+        # (trials, steps, samples), averaged over trials.
+        stack = np.array(
+            [[view(spectrum) for _, spectrum in record.entries] for record in records]
+        )
+        series = [(grid, mean) for mean in stack.mean(axis=0)]
         svg = render_line_chart(
             series,
             title=(
@@ -386,7 +294,7 @@ def cmd_export_svg(args: argparse.Namespace) -> int:
     else:
         if args.profile is None:
             raise LayoutError("--which profile requires --profile")
-        angles, mean, _std, _n = read_profile(args.profile)
+        angles, mean, _std, _n = dataio.read_profile(args.profile)
         svg = render_line_chart(
             [(angles, mean)],
             title="Normalized AUC vs sweep angle",
@@ -409,23 +317,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None and args.command == "simulate":
-            args.seed = _default_seed(parser)
-        if args.command == "simulate" and args.geometry == "convex":
-            if args.sphere_radius_mm is None:
+        if args.command == "simulate":
+            if args.seed is None:
+                args.seed = _default_seed(parser)
+            if args.geometry == "convex" and args.sphere_radius_mm is None:
                 parser.error("--geometry convex requires --sphere-radius-mm")
-        if args.command == "simulate" and args.geometry == "flat":
-            if args.sphere_radius_mm is not None:
+            if args.geometry == "flat" and args.sphere_radius_mm is not None:
                 parser.error("--sphere-radius-mm is only valid with --geometry convex")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
     try:
         return args.func(args)
-    except LumispecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (LumispecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

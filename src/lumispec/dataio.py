@@ -1,13 +1,16 @@
-"""Byte-stable file formats for spectra and sweep runs.
+"""Byte-stable file formats for spectra, sweep runs and AUC profiles.
 
-Two plain-text formats, chosen so files are inspectable, diffable, and
-easy for external spectrometer-export tooling to produce:
+Plain-text formats, chosen so files are inspectable, diffable, and easy
+for external spectrometer-export tooling to produce:
 
 * Spectrum file: UTF-8, LF endings, header ``wavelength_nm,intensity``,
   then one ``%.6f,%.9e`` row per sample in ascending wavelength order.
 * Run directory: ``meta.txt`` (``key=value`` lines in a fixed order),
   ``manifest.csv`` (``trial,step_index,motor_angle_deg,spectrum_file``),
   and one spectrum file per acquisition named ``t{trial}_s{step:02}.csv``.
+* Profile file (``profile.csv``, written into the run directory by
+  analysis): header ``angle_deg,auc_norm_mean,auc_norm_std,n_trials``, then
+  one ``%.6f,%.9f,%.9f,%d`` row per sweep angle.
 
 Serialization is deterministic: the same records always produce byte-
 identical directories. Sweep angles are reconstructed from the stored plan
@@ -18,8 +21,9 @@ against the plan within 1e-6 deg but never used as the value of record.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .engine import RunMeta, SweepPlan, SweepRecord
 from .errors import (
     DataIoError,
     LayoutError,
+    LumispecError,
     MalformedHeaderError,
     MetaError,
     NonMonotonicWavelengthError,
@@ -38,33 +43,55 @@ PathLike = Union[str, os.PathLike]
 
 SPECTRUM_HEADER = "wavelength_nm,intensity"
 MANIFEST_HEADER = "trial,step_index,motor_angle_deg,spectrum_file"
+PROFILE_HEADER = "angle_deg,auc_norm_mean,auc_norm_std,n_trials"
 META_FILE = "meta.txt"
 MANIFEST_FILE = "manifest.csv"
+PROFILE_FILE = "profile.csv"
 LOCK_FILE = ".lock"
 
-# Fixed meta.txt key order; files are byte-stable only if this never varies.
-META_KEYS = (
-    "schema_version",
-    "geometry",
-    "sphere_radius_mm",
-    "working_distance_mm",
-    "seed",
-    "noise_sigma",
-    "kappa",
-    "start_deg",
-    "step_deg",
-    "n_steps",
-    "trials",
-    "settle_s",
+# meta.txt lines in file order as (key, owning class, kind). Files are
+# byte-stable only if this order and the spelling of each kind never vary:
+# floats are written with repr(float(v)), so an int-valued 3 becomes "3.0",
+# and a float-or-none value is "none" when absent.
+_FLOAT_OR_NONE = "float-or-none"
+META_FIELDS = (
+    ("schema_version", RunMeta, int),
+    ("geometry", RunMeta, str),
+    ("sphere_radius_mm", RunMeta, _FLOAT_OR_NONE),
+    ("working_distance_mm", RunMeta, float),
+    ("seed", RunMeta, int),
+    ("noise_sigma", RunMeta, float),
+    ("kappa", RunMeta, float),
+    ("start_deg", SweepPlan, float),
+    ("step_deg", SweepPlan, float),
+    ("n_steps", SweepPlan, int),
+    ("trials", SweepPlan, int),
+    ("settle_s", SweepPlan, float),
 )
 
 SCHEMA_VERSION = 1
 
 _MANIFEST_ANGLE_TOL_DEG = 1e-6
 
+# Files of a run directory that write_run owns; spectrum files are the
+# names spectrum_filename() produces.
+_LAYOUT_FILES = (META_FILE, MANIFEST_FILE, PROFILE_FILE)
+_SPECTRUM_NAME = re.compile(r"t[0-9]+_s[0-9]{2,}\.csv")
+
 
 def spectrum_filename(trial: int, step: int) -> str:
     return f"t{trial}_s{step:02}.csv"
+
+
+def _rows_after_header(
+    text: str, header: str, error: type = MalformedHeaderError, where: str = ""
+) -> list[str]:
+    """The lines of ``text`` after its first, which must be ``header``."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        got = lines[0] if lines else "<empty file>"
+        raise error(f"{where}expected header {header!r}, got {got!r}")
+    return lines[1:]
 
 
 # --- spectrum files ---------------------------------------------------------
@@ -94,16 +121,10 @@ def read_spectrum(path: PathLike) -> Spectrum:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataIoError(f"cannot read spectrum file {path}: {exc}") from exc
 
-    lines = text.splitlines()
-    if not lines or lines[0] != SPECTRUM_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise MalformedHeaderError(
-            f"expected header {SPECTRUM_HEADER!r}, got {got!r}"
-        )
-
+    rows = _rows_after_header(text, SPECTRUM_HEADER)
     wavelengths: list[float] = []
     intensities: list[float] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(rows, start=2):
         fields = raw.split(",")
         if len(fields) != 2:
             raise SpectrumParseError(
@@ -134,32 +155,12 @@ def read_spectrum(path: PathLike) -> Spectrum:
 
 # --- run directories --------------------------------------------------------
 
-def _format_meta_value(key: str, plan: SweepPlan, meta: RunMeta) -> str:
-    if key == "schema_version":
-        return str(meta.schema_version)
-    if key == "geometry":
-        return meta.geometry
-    if key == "sphere_radius_mm":
-        return "none" if meta.sphere_radius_mm is None else repr(float(meta.sphere_radius_mm))
-    if key == "working_distance_mm":
-        return repr(float(meta.working_distance_mm))
-    if key == "seed":
-        return str(meta.seed)
-    if key == "noise_sigma":
-        return repr(float(meta.noise_sigma))
-    if key == "kappa":
-        return repr(float(meta.kappa))
-    if key == "start_deg":
-        return repr(float(plan.start_deg))
-    if key == "step_deg":
-        return repr(float(plan.step_deg))
-    if key == "n_steps":
-        return str(plan.n_steps)
-    if key == "trials":
-        return str(plan.trials)
-    if key == "settle_s":
-        return repr(float(plan.settle_s))
-    raise AssertionError(f"unhandled meta key {key!r}")
+def _format_meta_value(kind, value) -> str:
+    if kind is _FLOAT_OR_NONE and value is None:
+        return "none"
+    if kind in (float, _FLOAT_OR_NONE):
+        return repr(float(value))
+    return str(value)
 
 
 def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
@@ -168,6 +169,8 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
     All records must share one plan and one meta block, with distinct trial
     indices covering 0..trials-1. A best-effort ``.lock`` file guards
     against concurrent writers; it is removed when the write finishes.
+    Files the layout owns from an earlier run (meta, manifest, profile and
+    spectrum files) are removed first; any other file is left alone.
     """
     if not records:
         raise ValueError("write_run requires at least one record")
@@ -203,8 +206,16 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
 
     try:
         lock_fh.close()
+        for path in out.iterdir():
+            if path.name in _LAYOUT_FILES or _SPECTRUM_NAME.fullmatch(path.name):
+                try:
+                    path.unlink()
+                except OSError as exc:
+                    raise DataIoError(f"cannot remove stale {path}: {exc}") from exc
+        owners = {RunMeta: meta, SweepPlan: plan}
         meta_lines = [
-            f"{key}={_format_meta_value(key, plan, meta)}" for key in META_KEYS
+            f"{key}={_format_meta_value(kind, getattr(owners[owner], key))}"
+            for key, owner, kind in META_FIELDS
         ]
         _write_text(out / META_FILE, "\n".join(meta_lines) + "\n")
 
@@ -242,7 +253,23 @@ def _read_text(path: Path, what: str) -> str:
         raise DataIoError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _parse_meta(text: str) -> dict[str, str]:
+def _parse_meta_value(key: str, kind, text: str):
+    if kind is str:
+        return text
+    if kind is _FLOAT_OR_NONE and text == "none":
+        return None
+    try:
+        value = int(text) if kind is int else float(text)
+    except ValueError as exc:
+        raise MetaError(f"meta.txt key {key!r}: {exc}") from exc
+    if kind is not int and not np.isfinite(value):
+        raise MetaError(f"meta.txt key {key!r} is not finite")
+    return value
+
+
+def read_run_header(run_dir: PathLike) -> tuple[SweepPlan, RunMeta]:
+    """Parse only meta.txt, returning the run's plan and meta block."""
+    text = _read_text(Path(run_dir) / META_FILE, META_FILE)
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw == "":
@@ -253,74 +280,28 @@ def _parse_meta(text: str) -> dict[str, str]:
         if key in values:
             raise MetaError(f"meta.txt line {lineno}: duplicate key {key!r}")
         values[key] = value
-    for key in META_KEYS:
+
+    fields: dict[type, dict] = {RunMeta: {}, SweepPlan: {}}
+    for key, owner, kind in META_FIELDS:
         if key not in values:
             raise MetaError(f"meta.txt is missing key {key!r}")
-    for key in values:
-        if key not in META_KEYS:
-            raise MetaError(f"meta.txt has unexpected key {key!r}")
-    return values
+        fields[owner][key] = _parse_meta_value(key, kind, values.pop(key))
+    if values:
+        raise MetaError(f"meta.txt has unexpected key {next(iter(values))!r}")
 
-
-def _meta_float(values: dict[str, str], key: str) -> float:
-    try:
-        out = float(values[key])
-    except ValueError as exc:
-        raise MetaError(f"meta.txt key {key!r}: {exc}") from exc
-    if not np.isfinite(out):
-        raise MetaError(f"meta.txt key {key!r} is not finite")
-    return out
-
-
-def _meta_int(values: dict[str, str], key: str) -> int:
-    try:
-        return int(values[key])
-    except ValueError as exc:
-        raise MetaError(f"meta.txt key {key!r}: {exc}") from exc
-
-
-def read_run_header(run_dir: PathLike) -> tuple[SweepPlan, RunMeta]:
-    """Parse only meta.txt, returning the run's plan and meta block."""
-    out = Path(run_dir)
-    values = _parse_meta(_read_text(out / META_FILE, META_FILE))
-
-    schema = _meta_int(values, "schema_version")
+    schema = fields[RunMeta]["schema_version"]
     if schema != SCHEMA_VERSION:
         raise MetaError(f"unsupported schema_version {schema} (expected {SCHEMA_VERSION})")
-
-    radius_text = values["sphere_radius_mm"]
-    radius = None if radius_text == "none" else _meta_float(values, "sphere_radius_mm")
-
     try:
-        plan = SweepPlan(
-            start_deg=_meta_float(values, "start_deg"),
-            step_deg=_meta_float(values, "step_deg"),
-            n_steps=_meta_int(values, "n_steps"),
-            trials=_meta_int(values, "trials"),
-            settle_s=_meta_float(values, "settle_s"),
-        )
-        meta = RunMeta(
-            geometry=values["geometry"],
-            sphere_radius_mm=radius,
-            working_distance_mm=_meta_float(values, "working_distance_mm"),
-            seed=_meta_int(values, "seed"),
-            noise_sigma=_meta_float(values, "noise_sigma"),
-            kappa=_meta_float(values, "kappa"),
-            schema_version=schema,
-        )
+        return SweepPlan(**fields[SweepPlan]), RunMeta(**fields[RunMeta])
     except ValueError as exc:
         raise MetaError(f"meta.txt describes an invalid run: {exc}") from exc
-    return plan, meta
 
 
 def _parse_manifest(text: str, plan: SweepPlan) -> dict[tuple[int, int], str]:
-    lines = text.splitlines()
-    if not lines or lines[0] != MANIFEST_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise LayoutError(f"manifest.csv: expected header {MANIFEST_HEADER!r}, got {got!r}")
-
+    rows = _rows_after_header(text, MANIFEST_HEADER, LayoutError, "manifest.csv: ")
     files: dict[tuple[int, int], str] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(rows, start=2):
         fields = raw.split(",")
         if len(fields) != 4:
             raise LayoutError(
@@ -387,12 +368,7 @@ def read_run(run_dir: PathLike) -> list[SweepRecord]:
             name = files[(trial, step)]
             try:
                 spectrum = read_spectrum(out / name)
-            except (
-                MalformedHeaderError,
-                SpectrumParseError,
-                NonMonotonicWavelengthError,
-                DataIoError,
-            ) as exc:
+            except LumispecError as exc:
                 raise _with_file_locus(exc, name) from exc
             entries.append((plan.angle(step), spectrum))
         records.append(
@@ -409,3 +385,48 @@ def _with_file_locus(exc: Exception, name: str) -> Exception:
     if isinstance(exc, (SpectrumParseError, NonMonotonicWavelengthError)):
         return type(exc)(message, line=exc.line)
     return type(exc)(message)
+
+
+# --- profile files ----------------------------------------------------------
+
+def write_profile(
+    path: PathLike, angles_deg: np.ndarray, mean: np.ndarray, std: np.ndarray, n_trials: int
+) -> None:
+    """Write a normalized AUC profile in the canonical text format."""
+    lines = [PROFILE_HEADER]
+    for a, m, s in zip(angles_deg, mean, std):
+        lines.append("%.6f,%.9f,%.9f,%d" % (a, m, s, n_trials))
+    _write_text(Path(path), "\n".join(lines) + "\n")
+
+
+def read_profile(path: PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Parse profile.csv into (angles, mean, std, n_trials)."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataIoError(f"cannot read profile {path}: {exc}") from exc
+
+    values: list[tuple[float, float, float]] = []
+    n_trials: Optional[int] = None
+    for lineno, raw in enumerate(_rows_after_header(text, PROFILE_HEADER), start=2):
+        fields = raw.split(",")
+        if len(fields) != 4:
+            raise DataIoError(
+                f"profile line {lineno}: expected 4 fields, got {len(fields)}"
+            )
+        try:
+            values.append((float(fields[0]), float(fields[1]), float(fields[2])))
+            n = int(fields[3])
+        except ValueError as exc:
+            raise DataIoError(f"profile line {lineno}: {exc}") from exc
+        if n_trials is None:
+            n_trials = n
+        elif n != n_trials:
+            raise DataIoError(
+                f"profile line {lineno}: inconsistent n_trials {n} vs {n_trials}"
+            )
+    if n_trials is None:
+        raise DataIoError(f"profile {path} has no data rows")
+    angles, means, stds = np.array(values).T
+    return angles, means, stds, n_trials

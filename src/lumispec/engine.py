@@ -5,13 +5,12 @@ protocol is an explicit state machine (Idle, Homing, Moving, Acquiring,
 Complete, Faulted) driving an abstract :class:`AcquisitionPort`, so a
 hardware port can replace :class:`SimulatedPort` without touching the
 protocol logic. One machine owns one port for the duration of a trial;
-trials share nothing mutable and may run concurrently.
+trials share nothing mutable.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -386,15 +385,13 @@ def run_triplicate(
     plan: SweepPlan,
     port_factory: PortFactory,
     master_seed: int,
-    parallel: bool = False,
 ) -> list[SweepRecord]:
     """Run ``plan.trials`` independent trials and collect them in order.
 
     ``port_factory(trial, seed)`` builds a fresh port per trial with the
-    derived seed, so trials are independent and the result is identical
-    whether trials run sequentially or in parallel. Each record's meta
-    carries the master seed (the per-trial seed is recoverable from it).
-    Port failures propagate as :class:`PortFaultError` tagged with the
+    derived seed, so trials are independent of one another. Each record's
+    meta carries the master seed (the per-trial seed is recoverable from
+    it). Port failures propagate as :class:`PortFaultError` tagged with the
     trial index.
     """
 
@@ -409,7 +406,4 @@ def run_triplicate(
             ) from exc
         return replace(record, meta=replace(record.meta, seed=master_seed))
 
-    if parallel and plan.trials > 1:
-        with ThreadPoolExecutor(max_workers=plan.trials) as pool:
-            return list(pool.map(one, range(plan.trials)))
     return [one(t) for t in range(plan.trials)]

@@ -38,10 +38,6 @@ class LengthMismatchError(LumispecError):
     """Paired sequences have different (or zero) lengths."""
 
 
-class EmptyProfileError(LumispecError):
-    """Statistics were requested for an empty AUC profile."""
-
-
 # --- optics -----------------------------------------------------------------
 
 class AoiOutOfRangeError(LumispecError):

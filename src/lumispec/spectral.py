@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     DegenerateDenominatorError,
     EmptyBandError,
-    EmptyProfileError,
     LengthMismatchError,
     NonPositiveAucError,
     NonPositiveMaxError,
@@ -81,24 +80,17 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Parameters of the per-spectrum analysis pipeline.
-
-    ``smooth_window`` is part of the record format for traceability but the
-    pipeline is defined only for a window of two.
-    """
+    """Parameters of the per-spectrum analysis pipeline."""
 
     norm_cutoff_nm: float = 450.0
     auc_lo_nm: float = 450.0
     auc_hi_nm: float = 750.0
-    smooth_window: int = 2
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.norm_cutoff_nm):
             raise ValueError("norm_cutoff_nm must be finite")
         if not self.auc_lo_nm < self.auc_hi_nm:
             raise ValueError("auc_lo_nm must be below auc_hi_nm")
-        if self.smooth_window != 2:
-            raise ValueError("only smooth_window=2 is supported")
 
 
 @dataclass(frozen=True)
@@ -234,8 +226,6 @@ def profile_stats(p: AucProfile, threshold: float = 0.95) -> SweepStats:
     stays at or above the threshold. An isolated distant angle above the
     threshold does not extend the span.
     """
-    if len(p) == 0:  # unreachable through auc_profile; guards raw construction
-        raise EmptyProfileError("profile has no entries")
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     ang = p.angles_deg

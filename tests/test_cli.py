@@ -5,14 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lumispec.cli import (
-    PROFILE_HEADER,
-    SEED_ENV_VAR,
-    main,
-    read_profile,
-    write_profile,
-)
-from lumispec.errors import DataIoError, MalformedHeaderError
+from lumispec.cli import SEED_ENV_VAR, main
+from lumispec.dataio import read_profile, write_profile
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +100,25 @@ class TestSimulate:
         rc, _, _ = simulate_flat(capsys, out, "--seed", "7", "--force")
         assert rc == 0
         assert len(list(out.glob("t*_s*.csv"))) == 63
+        assert (out / "keep.txt").read_text() == "precious\n"
+
+    def test_force_leaves_no_stale_run_files(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        simulate_flat(capsys, out, "--seed", "7")
+        run_cli(capsys, "analyze", "--run", str(out))
+        rc, _, _ = run_cli(
+            capsys, "simulate", "--force", "--geometry", "convex",
+            "--sphere-radius-mm", "25", "--trials", "2", "--seed", "7",
+            "--out", str(out),
+        )
+        assert rc == 0
+        # 2 trials x 21 spectra, meta.txt and manifest.csv; no old profile.
+        assert len(list(out.iterdir())) == 44
+        rc, _, err = run_cli(
+            capsys, "report", "--profile", str(out / "profile.csv")
+        )
+        assert rc == 1
+        assert "error:" in err
 
     def test_out_path_is_file(self, capsys, tmp_path):
         out = tmp_path / "file"
@@ -312,40 +325,52 @@ class TestExportSvg:
         assert rc == 2
 
 
-class TestProfileFormat:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        angles = np.array([-1.8, 0.0, 1.8])
-        mean = np.array([0.951234567, 1.0, 0.949999999])
-        std = np.array([0.01, 0.0, 0.02])
-        write_profile(path, angles, mean, std, 3)
-        a, m, s, n = read_profile(path)
-        assert n == 3
-        np.testing.assert_allclose(a, angles, atol=1e-6)
-        np.testing.assert_allclose(m, mean, atol=1e-9)
-        np.testing.assert_allclose(s, std, atol=1e-9)
+BOUNDARY_VALUES = ("x", "nan", "inf", "-inf", "-1", "0", "1.5")
 
-    def test_header_line(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        write_profile(path, np.array([0.0]), np.array([1.0]), np.array([0.0]), 1)
-        assert path.read_text().splitlines()[0] == PROFILE_HEADER
+# Exit code per BOUNDARY_VALUES entry: 2 = rejected while parsing flags,
+# 1 = parsed but a domain error (the beam misses the sphere, the AUC band
+# is empty), 0 = ran.
+BOUNDARY_EXIT_CODES = {
+    "--sphere-radius-mm": (2, 2, 2, 2, 2, 2, 1),
+    "--trials": (2, 2, 2, 2, 2, 2, 2),
+    "--seed": (2, 2, 2, 2, 2, 0, 2),
+    "--noise-sigma": (2, 2, 2, 2, 2, 0, 0),
+    "--kappa": (2, 2, 2, 2, 2, 0, 0),
+    "--start-deg": (2, 2, 2, 2, 0, 0, 0),
+    "--step-deg": (2, 2, 2, 2, 2, 2, 0),
+    "--n-steps": (2, 2, 2, 2, 2, 2, 2),
+    "--cutoff-nm": (2, 2, 2, 2, 0, 0, 0),
+    "--auc-lo": (2, 2, 2, 2, 0, 0, 0),
+    "--auc-hi": (2, 2, 2, 2, 1, 1, 1),
+}
+ANALYZE_FLAGS = ("--cutoff-nm", "--auc-lo", "--auc-hi")
 
-    def test_wrong_header(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("angle,auc\n0.0,1.0\n")
-        with pytest.raises(MalformedHeaderError):
-            read_profile(path)
 
-    def test_inconsistent_trials(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text(
-            PROFILE_HEADER + "\n0.000000,1.0,0.0,3\n1.800000,0.9,0.0,2\n"
-        )
-        with pytest.raises(DataIoError, match="n_trials"):
-            read_profile(path)
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "run"
+    argv = ["simulate", "--geometry", "flat", "--seed", "0",
+            "--trials", "1", "--n-steps", "3", "--out", str(out)]
+    assert main(argv) == 0
+    return out
 
-    def test_no_rows(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text(PROFILE_HEADER + "\n")
-        with pytest.raises(DataIoError, match="no data"):
-            read_profile(path)
+
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [
+        (flag, value, code)
+        for flag, codes in BOUNDARY_EXIT_CODES.items()
+        for value, code in zip(BOUNDARY_VALUES, codes)
+    ],
+    ids=lambda v: str(v),
+)
+def test_numeric_flag_boundaries(capsys, tmp_path, tiny_run, flag, value, code):
+    if flag in ANALYZE_FLAGS:
+        argv = ["analyze", "--run", str(tiny_run)]
+    else:
+        argv = ["simulate", "--geometry", "convex", "--sphere-radius-mm", "25",
+                "--trials", "1", "--n-steps", "3", "--out", str(tmp_path / "run")]
+    rc, _, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert rc == code
+    if code == 2:
+        assert f"argument {flag}: " in err

@@ -6,6 +6,7 @@ error hierarchy.
 """
 
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,24 @@ import pytest
 from lumispec.dataio import (
     MANIFEST_FILE,
     META_FILE,
+    PROFILE_FILE,
+    PROFILE_HEADER,
+    read_profile,
     read_run,
     read_run_header,
     read_spectrum,
     spectrum_filename,
+    write_profile,
     write_run,
     write_spectrum,
 )
-from lumispec.engine import SimulatedPort, SweepPlan, run_triplicate
+from lumispec.engine import (
+    RunMeta,
+    SimulatedPort,
+    SweepPlan,
+    SweepRecord,
+    run_triplicate,
+)
 from lumispec.errors import (
     DataIoError,
     LayoutError,
@@ -253,6 +264,77 @@ def edit_lines(path, fn):
     path.write_text("\n".join(fn(lines)) + "\n")
 
 
+class TestRewrite:
+    def test_removes_stale_layout_files_only(self, small_records, small_plan, tmp_path):
+        run_dir = tmp_path / "run"
+        write_run(small_records, run_dir)
+        write_profile(run_dir / PROFILE_FILE, np.array([0.0]), np.array([1.0]),
+                      np.array([0.0]), 2)
+        (run_dir / "keep.txt").write_text("precious\n")
+        (run_dir / "t1_s02.csv.orig").write_text("not a spectrum\n")
+
+        one_plan = replace(small_plan, trials=1)
+        write_run([replace(small_records[0], plan=one_plan)], run_dir)
+
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted([
+            MANIFEST_FILE, META_FILE, "keep.txt",
+            "t0_s00.csv", "t0_s01.csv", "t0_s02.csv", "t1_s02.csv.orig",
+        ])
+        assert (run_dir / "keep.txt").read_text() == "precious\n"
+        records = read_run(run_dir)
+        assert [r.trial_index for r in records] == [0]
+
+
+def tiny_records(plan, meta):
+    spectrum = Spectrum(np.array([400.0, 500.0]), np.array([1.0, 2.0]))
+    entries = tuple((plan.angle(i), spectrum) for i in range(plan.n_steps))
+    return [
+        SweepRecord(plan=plan, trial_index=t, entries=entries, meta=meta)
+        for t in range(plan.trials)
+    ]
+
+
+class TestMetaTable:
+    # Int-valued floats are spelled like floats and an absent radius is
+    # "none"; each expected text is the exact meta.txt of the case.
+    @pytest.mark.parametrize(
+        "plan, meta, expected",
+        [
+            (
+                SweepPlan(start_deg=-18, step_deg=2, n_steps=3, trials=1, settle_s=0),
+                RunMeta(geometry="flat", sphere_radius_mm=None,
+                        working_distance_mm=17, seed=7, noise_sigma=0, kappa=3),
+                "schema_version=1\ngeometry=flat\nsphere_radius_mm=none\n"
+                "working_distance_mm=17.0\nseed=7\nnoise_sigma=0.0\nkappa=3.0\n"
+                "start_deg=-18.0\nstep_deg=2.0\nn_steps=3\ntrials=1\nsettle_s=0.0\n",
+            ),
+            (
+                SweepPlan(start_deg=0.5, step_deg=0.1, n_steps=2, trials=2, settle_s=1e-3),
+                RunMeta(geometry="convex", sphere_radius_mm=25,
+                        working_distance_mm=17.5, seed=12345678901234567890,
+                        noise_sigma=0.015, kappa=1 / 3),
+                "schema_version=1\ngeometry=convex\nsphere_radius_mm=25.0\n"
+                "working_distance_mm=17.5\nseed=12345678901234567890\n"
+                "noise_sigma=0.015\nkappa=0.3333333333333333\n"
+                "start_deg=0.5\nstep_deg=0.1\nn_steps=2\ntrials=2\nsettle_s=0.001\n",
+            ),
+        ],
+        ids=["flat-int-valued", "convex"],
+    )
+    def test_written_text_and_round_trip(self, plan, meta, expected, tmp_path):
+        write_run(tiny_records(plan, meta), tmp_path)
+        assert (tmp_path / META_FILE).read_bytes() == expected.encode()
+        assert read_run_header(tmp_path) == (plan, meta)
+
+    def test_none_rejected_for_plain_float(self, small_run):
+        edit_lines(
+            small_run / META_FILE,
+            lambda ls: ["kappa=none" if l.startswith("kappa=") else l for l in ls],
+        )
+        with pytest.raises(MetaError, match="kappa"):
+            read_run_header(small_run)
+
+
 class TestReadRunErrors:
     def test_missing_meta(self, small_run):
         (small_run / META_FILE).unlink()
@@ -355,6 +437,45 @@ class TestReadRunErrors:
         edit_lines(small_run / MANIFEST_FILE, bump)
         with pytest.raises(LayoutError, match="trial"):
             read_run(small_run)
+
+
+class TestProfileFormat:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        angles = np.array([-1.8, 0.0, 1.8])
+        mean = np.array([0.951234567, 1.0, 0.949999999])
+        std = np.array([0.01, 0.0, 0.02])
+        write_profile(path, angles, mean, std, 3)
+        a, m, s, n = read_profile(path)
+        assert n == 3
+        np.testing.assert_allclose(a, angles, atol=1e-6)
+        np.testing.assert_allclose(m, mean, atol=1e-9)
+        np.testing.assert_allclose(s, std, atol=1e-9)
+
+    def test_header_line(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        write_profile(path, np.array([0.0]), np.array([1.0]), np.array([0.0]), 1)
+        assert path.read_text().splitlines()[0] == PROFILE_HEADER
+
+    def test_wrong_header(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("angle,auc\n0.0,1.0\n")
+        with pytest.raises(MalformedHeaderError):
+            read_profile(path)
+
+    def test_inconsistent_trials(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text(
+            PROFILE_HEADER + "\n0.000000,1.0,0.0,3\n1.800000,0.9,0.0,2\n"
+        )
+        with pytest.raises(DataIoError, match="n_trials"):
+            read_profile(path)
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text(PROFILE_HEADER + "\n")
+        with pytest.raises(DataIoError, match="no data"):
+            read_profile(path)
 
 
 class TestFuzz:

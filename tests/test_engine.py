@@ -363,16 +363,6 @@ class TestRunTriplicate:
             assert ang_a == ang_b
             assert np.array_equal(sa.intensities, sb.intensities)
 
-    def test_parallel_equals_sequential(self):
-        seq = run_triplicate(default_plan(), simulated_factory(), master_seed=3)
-        par = run_triplicate(
-            default_plan(), simulated_factory(), master_seed=3, parallel=True
-        )
-        for rs, rp in zip(seq, par):
-            assert rs.trial_index == rp.trial_index
-            for (_, ss), (_, sp) in zip(rs.entries, rp.entries):
-                assert np.array_equal(ss.intensities, sp.intensities)
-
     def test_fault_tagged_with_trial(self):
         def factory(trial, seed):
             if trial == 1:

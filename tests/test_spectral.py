@@ -79,11 +79,6 @@ class TestPipelineConfig:
         assert cfg.norm_cutoff_nm == 450.0
         assert cfg.auc_lo_nm == 450.0
         assert cfg.auc_hi_nm == 750.0
-        assert cfg.smooth_window == 2
-
-    def test_window_fixed_at_two(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(smooth_window=3)
 
     def test_band_must_be_ordered(self):
         with pytest.raises(ValueError):
