@@ -15,6 +15,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+_WIDTH = 760.0
+_HEIGHT = 480.0
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 40.0
@@ -65,19 +67,17 @@ def render_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: float = 760.0,
-    height: float = 480.0,
     x_range: Optional[tuple[float, float]] = None,
-    y_range: Optional[tuple[float, float]] = None,
     hline: Optional[float] = None,
     markers: bool = False,
 ) -> str:
     """Render ``(x, y)`` series to an SVG document string.
 
-    ``x_range``/``y_range`` fix an axis; otherwise it is autoscaled over
-    all series with a little padding. ``hline`` draws a dashed horizontal
-    reference rule at that y value. ``markers`` adds a circle at every
-    data point of every series.
+    ``x_range`` fixes the x axis; otherwise it is autoscaled over all
+    series with a little padding. The y axis is always autoscaled over all
+    series and ``hline``, which draws a dashed horizontal reference rule at
+    that y value. ``markers`` adds a circle at every data point of every
+    series.
     """
     data: list[tuple[np.ndarray, np.ndarray]] = []
     for x, y in series:
@@ -93,18 +93,16 @@ def render_line_chart(
 
     if x_range is None:
         x_range = _autorange(np.concatenate([x for x, _ in data]))
-    if y_range is None:
-        y_all = [y for _, y in data]
-        if hline is not None:
-            y_all.append(np.asarray([hline], dtype=float))
-        y_range = _autorange(np.concatenate(y_all))
+    y_all = [y for _, y in data]
+    if hline is not None:
+        y_all.append(np.asarray([hline], dtype=float))
+    y_lo, y_hi = _autorange(np.concatenate(y_all))
     x_lo, x_hi = map(float, x_range)
-    y_lo, y_hi = map(float, y_range)
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValueError("axis ranges must have positive extent")
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(v: float) -> float:
         return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -115,16 +113,16 @@ def render_line_chart(
     x_axis_y = _MARGIN_TOP + plot_h
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
+        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">'
     )
     out.append(
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'<rect x="0" y="0" width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '
         f'fill="{_BG}"/>'
     )
     if title:
         out.append(
-            f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="{_FG}">'
             f"{escape(title)}</text>"
         )
@@ -174,7 +172,7 @@ def render_line_chart(
     if x_label:
         out.append(
             f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
-            f'y="{_fmt(height - 14)}" text-anchor="middle" '
+            f'y="{_fmt(_HEIGHT - 14)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" fill="{_FG}">'
             f"{escape(x_label)}</text>"
         )
@@ -188,7 +186,7 @@ def render_line_chart(
         )
 
     # Reference rule, drawn under the data.
-    if hline is not None and y_lo <= hline <= y_hi:
+    if hline is not None:
         py = sy(float(hline))
         out.append(
             f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '

@@ -20,10 +20,11 @@ against the plan within 1e-6 deg but never used as the value of record.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -79,34 +80,97 @@ _LAYOUT_FILES = (META_FILE, MANIFEST_FILE, PROFILE_FILE)
 _SPECTRUM_NAME = re.compile(r"t[0-9]+_s[0-9]{2,}\.csv")
 
 
+class _CsvFormat(NamedTuple):
+    """One CSV file format: header line, printf row format, column types.
+
+    Parse failures raise ``error`` (``header_error`` for a wrong header)
+    with a message that starts ``{where}line N:``.
+    """
+
+    header: str
+    row: str
+    types: tuple[type, ...]
+    where: str
+    error: type[LumispecError]
+    header_error: type[LumispecError] = MalformedHeaderError
+
+    def fail(self, lineno: int, message: str, error: Optional[type] = None) -> LumispecError:
+        return (error or self.error)(f"{self.where}line {lineno}: {message}", line=lineno)
+
+
+_SPECTRUM_CSV = _CsvFormat(SPECTRUM_HEADER, "%.6f,%.9e", (float, float),
+                           "", SpectrumParseError)
+_MANIFEST_CSV = _CsvFormat(MANIFEST_HEADER, "%d,%d,%.6f,%s", (int, int, float, str),
+                           "manifest.csv ", LayoutError, LayoutError)
+_PROFILE_CSV = _CsvFormat(PROFILE_HEADER, "%.6f,%.9f,%.9f,%d", (float, float, float, int),
+                          "profile ", DataIoError)
+
+
 def spectrum_filename(trial: int, step: int) -> str:
     return f"t{trial}_s{step:02}.csv"
 
 
-def _rows_after_header(
-    text: str, header: str, error: type = MalformedHeaderError, where: str = ""
-) -> list[str]:
-    """The lines of ``text`` after its first, which must be ``header``."""
+def _write_text(path: Path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataIoError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_text(path: Path, what: str, missing: type[LumispecError] = DataIoError) -> str:
+    if not path.is_file():
+        raise missing(f"missing {what}: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataIoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _write_csv(path: PathLike, fmt: _CsvFormat, rows) -> None:
+    lines = [fmt.header]
+    lines.extend(fmt.row % row for row in rows)
+    _write_text(Path(path), "\n".join(lines) + "\n")
+
+
+def _parse_rows(text: str, fmt: _CsvFormat) -> list[list]:
+    """The columns of a ``fmt`` file, each cell converted to its column type.
+
+    Float cells must be finite. The header is line 1, so the cell in row i
+    of a column sits on line i + 2.
+    """
     lines = text.splitlines()
-    if not lines or lines[0] != header:
-        got = lines[0] if lines else "<empty file>"
-        raise error(f"{where}expected header {header!r}, got {got!r}")
-    return lines[1:]
+    got = lines[0] if lines else "<empty file>"
+    if got != fmt.header:
+        raise fmt.fail(1, f"expected header {fmt.header!r}, got {got!r}", fmt.header_error)
+    rows = [line.split(",") for line in lines[1:]]
+    width = len(fmt.types)
+    for lineno, fields in enumerate(rows, start=2):
+        if len(fields) != width:
+            raise fmt.fail(
+                lineno, f"expected {width} comma-separated fields, got {len(fields)}"
+            )
+    columns = []
+    for kind, cells in zip(fmt.types, zip(*rows) if rows else [()] * width):
+        values = []
+        for lineno, cell in enumerate(cells, start=2):
+            try:
+                value = kind(cell)
+            except ValueError as exc:
+                raise fmt.fail(lineno, str(exc)) from exc
+            if kind is float and not math.isfinite(value):
+                raise fmt.fail(lineno, f"non-finite value {cell!r}")
+            values.append(value)
+        columns.append(values)
+    return columns
 
 
 # --- spectrum files ---------------------------------------------------------
 
 def write_spectrum(spectrum: Spectrum, path: PathLike) -> None:
     """Write one spectrum in the canonical text format."""
-    lines = [SPECTRUM_HEADER]
-    for w, i in zip(spectrum.wavelengths_nm, spectrum.intensities):
-        lines.append("%.6f,%.9e" % (w, i))
-    text = "\n".join(lines) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataIoError(f"cannot write spectrum file {path}: {exc}") from exc
+    _write_csv(path, _SPECTRUM_CSV, zip(spectrum.wavelengths_nm, spectrum.intensities))
 
 
 def read_spectrum(path: PathLike) -> Spectrum:
@@ -115,42 +179,21 @@ def read_spectrum(path: PathLike) -> Spectrum:
     Failures carry a 1-based line number where applicable (line 1 is the
     header).
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataIoError(f"cannot read spectrum file {path}: {exc}") from exc
-
-    rows = _rows_after_header(text, SPECTRUM_HEADER)
-    wavelengths: list[float] = []
-    intensities: list[float] = []
-    for lineno, raw in enumerate(rows, start=2):
-        fields = raw.split(",")
-        if len(fields) != 2:
-            raise SpectrumParseError(
-                f"expected 2 comma-separated fields, got {len(fields)}",
-                line=lineno,
-            )
-        try:
-            w = float(fields[0])
-            i = float(fields[1])
-        except ValueError as exc:
-            raise SpectrumParseError(str(exc), line=lineno) from exc
-        if not (np.isfinite(w) and np.isfinite(i)):
-            raise SpectrumParseError("non-finite value", line=lineno)
-        if wavelengths and w <= wavelengths[-1]:
-            raise NonMonotonicWavelengthError(
-                f"wavelength {w!r} does not increase past {wavelengths[-1]!r}",
-                line=lineno,
-            )
-        wavelengths.append(w)
-        intensities.append(i)
-
-    if len(wavelengths) < 2:
+    columns = _parse_rows(_read_text(Path(path), "spectrum file"), _SPECTRUM_CSV)
+    wavelengths, intensities = map(np.asarray, columns)
+    if wavelengths.size < 2:
         raise SpectrumParseError(
-            f"spectrum needs at least 2 samples, found {len(wavelengths)}"
+            f"spectrum needs at least 2 samples, found {wavelengths.size}"
         )
-    return Spectrum(np.asarray(wavelengths), np.asarray(intensities))
+    falls = np.flatnonzero(np.diff(wavelengths) <= 0)
+    if falls.size:
+        i = int(falls[0])
+        w0, w1 = wavelengths[i:i + 2].tolist()
+        raise _SPECTRUM_CSV.fail(
+            i + 3, f"wavelength {w1!r} does not increase past {w0!r}",
+            NonMonotonicWavelengthError,
+        )
+    return Spectrum(wavelengths, intensities)
 
 
 # --- run directories --------------------------------------------------------
@@ -219,38 +262,18 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
         ]
         _write_text(out / META_FILE, "\n".join(meta_lines) + "\n")
 
-        manifest_lines = [MANIFEST_HEADER]
+        manifest_rows = []
         for record in sorted(records, key=lambda r: r.trial_index):
             for step, (angle, spectrum) in enumerate(record.entries):
                 name = spectrum_filename(record.trial_index, step)
-                manifest_lines.append(
-                    "%d,%d,%.6f,%s" % (record.trial_index, step, angle, name)
-                )
+                manifest_rows.append((record.trial_index, step, angle, name))
                 write_spectrum(spectrum, out / name)
-        _write_text(out / MANIFEST_FILE, "\n".join(manifest_lines) + "\n")
+        _write_csv(out / MANIFEST_FILE, _MANIFEST_CSV, manifest_rows)
     finally:
         try:
             lock.unlink()
         except OSError:
             pass
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataIoError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_text(path: Path, what: str) -> str:
-    if not path.is_file():
-        raise LayoutError(f"missing {what}: {path}")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataIoError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _parse_meta_value(key: str, kind, text: str):
@@ -262,23 +285,24 @@ def _parse_meta_value(key: str, kind, text: str):
         value = int(text) if kind is int else float(text)
     except ValueError as exc:
         raise MetaError(f"meta.txt key {key!r}: {exc}") from exc
-    if kind is not int and not np.isfinite(value):
+    if kind is not int and not math.isfinite(value):
         raise MetaError(f"meta.txt key {key!r} is not finite")
     return value
 
 
 def read_run_header(run_dir: PathLike) -> tuple[SweepPlan, RunMeta]:
     """Parse only meta.txt, returning the run's plan and meta block."""
-    text = _read_text(Path(run_dir) / META_FILE, META_FILE)
+    text = _read_text(Path(run_dir) / META_FILE, META_FILE, LayoutError)
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw == "":
             continue
         key, sep, value = raw.partition("=")
         if not sep:
-            raise MetaError(f"meta.txt line {lineno}: expected key=value, got {raw!r}")
+            raise MetaError(f"meta.txt line {lineno}: expected key=value, got {raw!r}",
+                            line=lineno)
         if key in values:
-            raise MetaError(f"meta.txt line {lineno}: duplicate key {key!r}")
+            raise MetaError(f"meta.txt line {lineno}: duplicate key {key!r}", line=lineno)
         values[key] = value
 
     fields: dict[type, dict] = {RunMeta: {}, SweepPlan: {}}
@@ -299,37 +323,22 @@ def read_run_header(run_dir: PathLike) -> tuple[SweepPlan, RunMeta]:
 
 
 def _parse_manifest(text: str, plan: SweepPlan) -> dict[tuple[int, int], str]:
-    rows = _rows_after_header(text, MANIFEST_HEADER, LayoutError, "manifest.csv: ")
+    fail = _MANIFEST_CSV.fail
     files: dict[tuple[int, int], str] = {}
-    for lineno, raw in enumerate(rows, start=2):
-        fields = raw.split(",")
-        if len(fields) != 4:
-            raise LayoutError(
-                f"manifest.csv line {lineno}: expected 4 fields, got {len(fields)}"
-            )
-        try:
-            trial = int(fields[0])
-            step = int(fields[1])
-            angle = float(fields[2])
-        except ValueError as exc:
-            raise LayoutError(f"manifest.csv line {lineno}: {exc}") from exc
-        name = fields[3]
+    for lineno, (trial, step, angle, name) in enumerate(
+        zip(*_parse_rows(text, _MANIFEST_CSV)), start=2
+    ):
         if not (0 <= trial < plan.trials):
-            raise LayoutError(
-                f"manifest.csv line {lineno}: trial {trial} outside 0..{plan.trials - 1}"
-            )
+            raise fail(lineno, f"trial {trial} outside 0..{plan.trials - 1}")
         if not (0 <= step < plan.n_steps):
-            raise LayoutError(
-                f"manifest.csv line {lineno}: step {step} outside 0..{plan.n_steps - 1}"
-            )
+            raise fail(lineno, f"step {step} outside 0..{plan.n_steps - 1}")
         if (trial, step) in files:
-            raise LayoutError(
-                f"manifest.csv line {lineno}: duplicate entry for trial {trial} step {step}"
-            )
-        if not np.isfinite(angle) or abs(angle - plan.angle(step)) > _MANIFEST_ANGLE_TOL_DEG:
-            raise LayoutError(
-                f"manifest.csv line {lineno}: angle {angle!r} deviates from plan "
-                f"angle {plan.angle(step)!r} by more than {_MANIFEST_ANGLE_TOL_DEG:g} deg"
+            raise fail(lineno, f"duplicate entry for trial {trial} step {step}")
+        if abs(angle - plan.angle(step)) > _MANIFEST_ANGLE_TOL_DEG:
+            raise fail(
+                lineno,
+                f"angle {angle!r} deviates from plan angle {plan.angle(step)!r} "
+                f"by more than {_MANIFEST_ANGLE_TOL_DEG:g} deg",
             )
         files[(trial, step)] = name
 
@@ -351,7 +360,8 @@ def read_run(run_dir: PathLike) -> list[SweepRecord]:
     """
     out = Path(run_dir)
     plan, meta = read_run_header(out)
-    files = _parse_manifest(_read_text(out / MANIFEST_FILE, MANIFEST_FILE), plan)
+    manifest = _read_text(out / MANIFEST_FILE, MANIFEST_FILE, LayoutError)
+    files = _parse_manifest(manifest, plan)
 
     missing = sorted(
         name for name in set(files.values()) if not (out / name).is_file()
@@ -369,7 +379,7 @@ def read_run(run_dir: PathLike) -> list[SweepRecord]:
             try:
                 spectrum = read_spectrum(out / name)
             except LumispecError as exc:
-                raise _with_file_locus(exc, name) from exc
+                raise type(exc)(f"{name}: {exc}", line=exc.line) from exc
             entries.append((plan.angle(step), spectrum))
         records.append(
             SweepRecord(
@@ -379,54 +389,22 @@ def read_run(run_dir: PathLike) -> list[SweepRecord]:
     return records
 
 
-def _with_file_locus(exc: Exception, name: str) -> Exception:
-    """Rebuild a spectrum error with the filename prefixed to its message."""
-    message = f"{name}: {exc}"
-    if isinstance(exc, (SpectrumParseError, NonMonotonicWavelengthError)):
-        return type(exc)(message, line=exc.line)
-    return type(exc)(message)
-
-
 # --- profile files ----------------------------------------------------------
 
 def write_profile(
     path: PathLike, angles_deg: np.ndarray, mean: np.ndarray, std: np.ndarray, n_trials: int
 ) -> None:
     """Write a normalized AUC profile in the canonical text format."""
-    lines = [PROFILE_HEADER]
-    for a, m, s in zip(angles_deg, mean, std):
-        lines.append("%.6f,%.9f,%.9f,%d" % (a, m, s, n_trials))
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    _write_csv(path, _PROFILE_CSV, ((*row, n_trials) for row in zip(angles_deg, mean, std)))
 
 
 def read_profile(path: PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Parse profile.csv into (angles, mean, std, n_trials)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataIoError(f"cannot read profile {path}: {exc}") from exc
-
-    values: list[tuple[float, float, float]] = []
-    n_trials: Optional[int] = None
-    for lineno, raw in enumerate(_rows_after_header(text, PROFILE_HEADER), start=2):
-        fields = raw.split(",")
-        if len(fields) != 4:
-            raise DataIoError(
-                f"profile line {lineno}: expected 4 fields, got {len(fields)}"
-            )
-        try:
-            values.append((float(fields[0]), float(fields[1]), float(fields[2])))
-            n = int(fields[3])
-        except ValueError as exc:
-            raise DataIoError(f"profile line {lineno}: {exc}") from exc
-        if n_trials is None:
-            n_trials = n
-        elif n != n_trials:
-            raise DataIoError(
-                f"profile line {lineno}: inconsistent n_trials {n} vs {n_trials}"
-            )
-    if n_trials is None:
+    *values, counts = _parse_rows(_read_text(Path(path), "profile"), _PROFILE_CSV)
+    if not counts:
         raise DataIoError(f"profile {path} has no data rows")
-    angles, means, stds = np.array(values).T
-    return angles, means, stds, n_trials
+    for lineno, n in enumerate(counts, start=2):
+        if n != counts[0]:
+            raise _PROFILE_CSV.fail(lineno, f"inconsistent n_trials {n} vs {counts[0]}")
+    angles, means, stds = map(np.asarray, values)
+    return angles, means, stds, counts[0]

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 
 class LumispecError(Exception):
-    """Base class for all lumispec domain errors."""
+    """Base class for all lumispec domain errors.
+
+    ``line`` is the 1-based line of the offending file, or None.
+    """
+
+    def __init__(self, message: str = "", *, line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 # --- spectral pipeline ------------------------------------------------------
@@ -82,17 +89,9 @@ class MalformedHeaderError(LumispecError):
 class SpectrumParseError(LumispecError):
     """A spectrum file row could not be parsed."""
 
-    def __init__(self, message: str, *, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
 
 class NonMonotonicWavelengthError(LumispecError):
     """Wavelengths in a spectrum file are not strictly increasing."""
-
-    def __init__(self, message: str, *, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
 
 class LayoutError(LumispecError):

@@ -6,8 +6,9 @@ axis and meets the target surface at normal incidence after one working
 distance. Surfaces are either a flat plate perpendicular to the axis or a
 sphere centered on the axis with its apex toward the pivot.
 
-For the sphere, with d the pivot-to-center distance and R the radius, the
-law of sines in the pivot-center-hit triangle gives the closed forms
+For the sphere, with R the radius and d = working distance + R the
+pivot-to-center distance, the law of sines in the pivot-center-hit
+triangle gives the closed forms
 
     sin(aoi) = (d / R) * sin(|theta|)
     path     = d * cos(theta) - R * cos(aoi)
@@ -45,20 +46,13 @@ class FlatSurface:
 
 @dataclass(frozen=True)
 class SphereSurface:
-    """Convex sphere; apex faces the pivot.
-
-    ``apex_distance_mm`` is the pivot-to-apex standoff; None means "use the
-    working distance", the mounting used throughout.
-    """
+    """Convex sphere; its apex faces the pivot one working distance away."""
 
     radius_mm: float
-    apex_distance_mm: float | None = None
 
     def __post_init__(self) -> None:
         if not self.radius_mm > 0:
             raise ValueError("radius_mm must be positive")
-        if self.apex_distance_mm is not None and not self.apex_distance_mm > 0:
-            raise ValueError("apex_distance_mm must be positive (pivot outside sphere)")
 
 
 SurfaceModel = Union[FlatSurface, SphereSurface]
@@ -90,10 +84,7 @@ def incidence_flat(theta_deg: float, g: PivotGeometry) -> IncidenceSolution:
 
 
 def incidence_sphere(
-    theta_deg: float,
-    g: PivotGeometry,
-    radius_mm: float,
-    apex_distance_mm: float | None = None,
+    theta_deg: float, g: PivotGeometry, radius_mm: float
 ) -> IncidenceSolution:
     """Near ray-sphere intersection via the law-of-sines closed form."""
     if not radius_mm > 0:
@@ -102,10 +93,7 @@ def incidence_sphere(
         raise NoIntersectionError(
             f"motor angle {theta_deg:g} deg points away from the phantom"
         )
-    apex = g.working_distance_mm if apex_distance_mm is None else apex_distance_mm
-    if not apex > 0:
-        raise ValueError("apex distance must be positive (pivot outside sphere)")
-    d = apex + radius_mm
+    d = g.working_distance_mm + radius_mm
     theta = math.radians(theta_deg)
     sin_aoi = (d / radius_mm) * math.sin(abs(theta))
     if sin_aoi >= 1.0:
@@ -129,7 +117,5 @@ def solve_incidence(
     if isinstance(surface, FlatSurface):
         return incidence_flat(theta_deg, g)
     if isinstance(surface, SphereSurface):
-        return incidence_sphere(
-            theta_deg, g, surface.radius_mm, surface.apex_distance_mm
-        )
+        return incidence_sphere(theta_deg, g, surface.radius_mm)
     raise TypeError(f"unknown surface model: {surface!r}")

@@ -113,7 +113,6 @@ class WavelengthGrid:
 class OpticalConfig:
     """Everything the forward model needs to synthesize one spectrum."""
 
-    excitation_nm: float = 405.0
     fluorophores: tuple[Fluorophore, ...] = (NADH_DEFAULT, FAD_DEFAULT)
     dichroic: DichroicCurve = DichroicCurve()
     angular: AngularResponse = AngularResponse()
@@ -128,8 +127,6 @@ class OpticalConfig:
             raise ValueError("baseline must be non-negative")
         if self.grid.lo_nm > 450.0 or self.grid.hi_nm < 750.0:
             raise ValueError("grid must cover the 450-750 nm integration band")
-        if not self.excitation_nm < self.dichroic.cutoff_nm:
-            raise ValueError("excitation must lie below the dichroic cutoff")
 
 
 class Rng:

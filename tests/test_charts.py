@@ -39,12 +39,6 @@ class TestRenderLineChart:
         svg = render_line_chart([(X, X / 10.0)], hline=0.95)
         assert "stroke-dasharray" in svg
 
-    def test_hline_outside_fixed_range_omitted(self):
-        svg = render_line_chart(
-            [(X, X / 10.0)], y_range=(0.0, 0.5), hline=0.95
-        )
-        assert "stroke-dasharray" not in svg
-
     def test_labels_escaped(self):
         svg = render_line_chart(
             [(X, np.sin(X))],
@@ -59,13 +53,6 @@ class TestRenderLineChart:
     def test_deterministic(self):
         series = [(X, np.sin(X))]
         assert render_line_chart(series) == render_line_chart(series)
-
-    def test_dimensions(self):
-        svg = render_line_chart([(X, np.sin(X))], width=400.0, height=300.0)
-        root = ET.fromstring(svg)
-        assert root.get("width") == "400"
-        assert root.get("height") == "300"
-        assert root.get("viewBox") == "0 0 400 300"
 
     def test_distinct_series_colors(self):
         series = [(X, np.sin(X + k)) for k in range(3)]

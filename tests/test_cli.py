@@ -205,7 +205,13 @@ class TestAnalyze:
         victim.write_text(victim.read_text() + "not,a,row\n")
         rc, _, err = run_cli(capsys, "analyze", "--run", str(out))
         assert rc == 1
-        assert "t1_s07.csv" in err
+        assert "t1_s07.csv: line 803: expected 2 comma-separated fields, got 3" in err
+        victim = out / "t0_s01.csv"
+        lines = victim.read_text().splitlines(keepends=True)
+        victim.write_text("".join(lines[:5] + ["garbage row\n"] + lines[5:]))
+        rc, _, err = run_cli(capsys, "analyze", "--run", str(out))
+        assert rc == 1
+        assert "t0_s01.csv: line 6:" in err
 
     def test_custom_band(self, capsys, tmp_path):
         out = tmp_path / "run"
@@ -255,6 +261,22 @@ class TestReport:
         )
         assert rc == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "data, locus",
+        [
+            (b"\xff\xfe" + b"\x00" * 16, "{path}"),
+            (b"angle_deg,auc_norm_mean,auc_norm_std,n_trials\n"
+             b"0.000000,1.0,0.0,3\n1.800000,nan,0.0,3\n", "profile line 3:"),
+        ],
+        ids=["not-utf8", "nan-cell"],
+    )
+    def test_corrupt_profile_named(self, capsys, tmp_path, data, locus):
+        path = tmp_path / "profile.csv"
+        path.write_bytes(data)
+        rc, _, err = run_cli(capsys, "report", "--profile", str(path))
+        assert rc == 1
+        assert locus.format(path=path) in err
 
 
 class TestExportSvg:

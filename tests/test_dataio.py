@@ -354,7 +354,7 @@ class TestReadRunErrors:
     def test_corrupt_spectrum_named_with_line(self, small_run):
         path = small_run / "t0_s01.csv"
         edit_lines(path, lambda ls: ls[:5] + ["garbage row"] + ls[5:])
-        with pytest.raises(SpectrumParseError, match="t0_s01.csv") as info:
+        with pytest.raises(SpectrumParseError, match="t0_s01.csv: line 6: ") as info:
             read_run(small_run)
         assert info.value.line == 6
 
@@ -428,6 +428,16 @@ class TestReadRunErrors:
         with pytest.raises(LayoutError, match="angle"):
             read_run(small_run)
 
+        def nan_angle(ls):
+            fields = ls[1].split(",")
+            fields[2] = "nan"
+            return [ls[0], ",".join(fields)] + ls[2:]
+
+        edit_lines(small_run / MANIFEST_FILE, nan_angle)
+        with pytest.raises(LayoutError, match="manifest.csv line 2: ") as info:
+            read_run(small_run)
+        assert info.value.line == 2
+
     def test_manifest_trial_out_of_range(self, small_run):
         def bump(ls):
             fields = ls[1].split(",")
@@ -476,6 +486,20 @@ class TestProfileFormat:
         path.write_text(PROFILE_HEADER + "\n")
         with pytest.raises(DataIoError, match="no data"):
             read_profile(path)
+
+    def test_non_finite_cell_names_line(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text(PROFILE_HEADER + "\n0.000000,1.0,0.0,3\n1.800000,nan,0.0,3\n")
+        with pytest.raises(DataIoError, match="profile line 3: ") as info:
+            read_profile(path)
+        assert info.value.line == 3
+
+    def test_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_bytes(b"\xff\xfe" + PROFILE_HEADER.encode() + b"\n")
+        with pytest.raises(DataIoError) as info:
+            read_profile(path)
+        assert str(path) in str(info.value)
 
 
 class TestFuzz:

@@ -34,8 +34,6 @@ class TestTypes:
     def test_sphere_validation(self):
         with pytest.raises(ValueError):
             SphereSurface(radius_mm=-1.0)
-        with pytest.raises(ValueError):
-            SphereSurface(radius_mm=25.0, apex_distance_mm=0.0)
 
 
 class TestIncidenceFlat:
@@ -134,13 +132,6 @@ class TestIncidenceSphere:
             sphere_aoi = incidence_sphere(theta, g, 25.0).aoi_rad
             flat_aoi = incidence_flat(theta, g).aoi_rad
             assert sphere_aoi > flat_aoi
-
-    def test_custom_apex_distance(self):
-        g = PivotGeometry(working_distance_mm=17.0)
-        near = incidence_sphere(5.0, g, 25.0, apex_distance_mm=10.0)
-        default = incidence_sphere(5.0, g, 25.0)
-        # Smaller standoff means smaller d and hence a smaller aoi.
-        assert near.aoi_rad < default.aoi_rad
 
     def test_hit_point_lies_on_sphere(self):
         g = PivotGeometry()

@@ -50,10 +50,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             OpticalConfig(grid=WavelengthGrid(500.0, 800.0, 0.5))
 
-    def test_config_excitation_below_cutoff(self):
-        with pytest.raises(ValueError):
-            OpticalConfig(excitation_nm=460.0)
-
 
 class TestDichroicTransmittance:
     def test_midpoint_at_cutoff(self):
