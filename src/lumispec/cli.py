@@ -19,13 +19,7 @@ import numpy as np
 
 from . import dataio
 from .charts import render_line_chart
-from .engine import (
-    AcquisitionPort,
-    SimulatedPort,
-    SweepPlan,
-    SweepRecord,
-    run_triplicate,
-)
+from .engine import AcquisitionPort, SimulatedPort, SweepPlan, run_triplicate
 from .errors import DataIoError, LayoutError, LumispecError
 from .geometry import FlatSurface, PivotGeometry, SphereSurface, SurfaceModel
 from .optics import AngularResponse, OpticalConfig
@@ -196,24 +190,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _raw_auc_matrix(
-    records: list[SweepRecord], cfg: PipelineConfig
-) -> np.ndarray:
-    """Pipeline AUC for every (trial, step); failures name their locus."""
-    rows = []
-    for record in records:
-        row = []
-        for angle, spectrum in record.entries:
-            try:
-                row.append(run_pipeline(spectrum, cfg))
-            except LumispecError as exc:
-                raise type(exc)(
-                    f"trial {record.trial_index}, angle {angle:+.1f} deg: {exc}"
-                ) from exc
-        rows.append(row)
-    return np.asarray(rows)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     records = dataio.read_run(args.run)
     cfg = PipelineConfig(
@@ -222,7 +198,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         auc_hi_nm=args.auc_hi,
     )
     angles = np.asarray(records[0].plan.angles())
-    raw = _raw_auc_matrix(records, cfg)
+    raw = []
+    for record in records:
+        try:
+            raw.append(run_pipeline(record.spectra, cfg))
+        except LumispecError as exc:
+            # An error about the grid, not one spectrum, names the first step.
+            angle = record.plan.angle(exc.row or 0)
+            message = f"trial {record.trial_index}, angle {angle:+.1f} deg: {exc}"
+            raise type(exc)(message) from exc
+    raw = np.asarray(raw)
 
     if args.pooling == "per-trial":
         # Each trial normalized by its own max, cancelling any per-trial gain.
@@ -263,22 +248,12 @@ def cmd_export_svg(args: argparse.Namespace) -> int:
         if args.run is None:
             raise LayoutError(f"--which {args.which} requires --run")
         records = dataio.read_run(args.run)
-        grid = records[0].entries[0][1].wavelengths_nm
+        grid = records[0].spectra.wavelengths_nm
         smoothed = args.which == "spectra-smoothed"
-
-        def view(spectrum):
-            if not np.array_equal(spectrum.wavelengths_nm, grid):
-                raise LayoutError(
-                    "spectra in the run do not share one wavelength grid"
-                )
-            if smoothed:
-                spectrum = smooth_window2(normalize_above_cutoff(spectrum))
-            return spectrum.intensities
-
         # (trials, steps, samples), averaged over trials.
-        stack = np.array(
-            [[view(spectrum) for _, spectrum in record.entries] for record in records]
-        )
+        stack = np.array([record.spectra.intensities for record in records])
+        if smoothed:
+            stack = smooth_window2(normalize_above_cutoff(grid, stack))
         series = [(grid, mean) for mean in stack.mean(axis=0)]
         svg = render_line_chart(
             series,

@@ -15,7 +15,9 @@ for external spectrometer-export tooling to produce:
 Serialization is deterministic: the same records always produce byte-
 identical directories. Sweep angles are reconstructed from the stored plan
 by index arithmetic on read; the manifest's angle column is validated
-against the plan within 1e-6 deg but never used as the value of record.
+against the plan within 1e-6 deg but never used as the value of record;
+its spectrum_file must be the canonical name, and all spectra of a run
+share one wavelength grid. Profile angles increase strictly.
 """
 
 from __future__ import annotations
@@ -96,6 +98,14 @@ class _CsvFormat(NamedTuple):
 
     def fail(self, lineno: int, message: str, error: Optional[type] = None) -> LumispecError:
         return (error or self.error)(f"{self.where}line {lineno}: {message}", line=lineno)
+
+    def require_increasing(self, column: np.ndarray, what: str, error=None) -> None:
+        """Fail on the first row of a parsed column that is not above the row before it."""
+        falls = np.flatnonzero(column[1:] <= column[:-1])
+        if falls.size:
+            i = int(falls[0])
+            v0, v1 = column[i:i + 2].tolist()
+            raise self.fail(i + 3, f"{what} {v1!r} does not increase past {v0!r}", error)
 
 
 _SPECTRUM_CSV = _CsvFormat(SPECTRUM_HEADER, "%.6f,%.9e", (float, float),
@@ -185,14 +195,7 @@ def read_spectrum(path: PathLike) -> Spectrum:
         raise SpectrumParseError(
             f"spectrum needs at least 2 samples, found {wavelengths.size}"
         )
-    falls = np.flatnonzero(np.diff(wavelengths) <= 0)
-    if falls.size:
-        i = int(falls[0])
-        w0, w1 = wavelengths[i:i + 2].tolist()
-        raise _SPECTRUM_CSV.fail(
-            i + 3, f"wavelength {w1!r} does not increase past {w0!r}",
-            NonMonotonicWavelengthError,
-        )
+    _SPECTRUM_CSV.require_increasing(wavelengths, "wavelength", NonMonotonicWavelengthError)
     return Spectrum(wavelengths, intensities)
 
 
@@ -322,9 +325,10 @@ def read_run_header(run_dir: PathLike) -> tuple[SweepPlan, RunMeta]:
         raise MetaError(f"meta.txt describes an invalid run: {exc}") from exc
 
 
-def _parse_manifest(text: str, plan: SweepPlan) -> dict[tuple[int, int], str]:
+def _check_manifest(text: str, plan: SweepPlan) -> None:
+    """Require one manifest row per (trial, step), at its angle and canonical name."""
     fail = _MANIFEST_CSV.fail
-    files: dict[tuple[int, int], str] = {}
+    seen: set[tuple[int, int]] = set()
     for lineno, (trial, step, angle, name) in enumerate(
         zip(*_parse_rows(text, _MANIFEST_CSV)), start=2
     ):
@@ -332,7 +336,7 @@ def _parse_manifest(text: str, plan: SweepPlan) -> dict[tuple[int, int], str]:
             raise fail(lineno, f"trial {trial} outside 0..{plan.trials - 1}")
         if not (0 <= step < plan.n_steps):
             raise fail(lineno, f"step {step} outside 0..{plan.n_steps - 1}")
-        if (trial, step) in files:
+        if (trial, step) in seen:
             raise fail(lineno, f"duplicate entry for trial {trial} step {step}")
         if abs(angle - plan.angle(step)) > _MANIFEST_ANGLE_TOL_DEG:
             raise fail(
@@ -340,15 +344,17 @@ def _parse_manifest(text: str, plan: SweepPlan) -> dict[tuple[int, int], str]:
                 f"angle {angle!r} deviates from plan angle {plan.angle(step)!r} "
                 f"by more than {_MANIFEST_ANGLE_TOL_DEG:g} deg",
             )
-        files[(trial, step)] = name
+        if name != spectrum_filename(trial, step):
+            raise fail(lineno, f"spectrum file {name!r} is not the canonical "
+                               f"{spectrum_filename(trial, step)!r}")
+        seen.add((trial, step))
 
     expected = plan.trials * plan.n_steps
-    if len(files) != expected:
+    if len(seen) != expected:
         raise LayoutError(
-            f"manifest.csv has {len(files)} entries, expected {expected} "
+            f"manifest.csv has {len(seen)} entries, expected {expected} "
             f"({plan.trials} trials x {plan.n_steps} steps)"
         )
-    return files
 
 
 def read_run(run_dir: PathLike) -> list[SweepRecord]:
@@ -356,36 +362,36 @@ def read_run(run_dir: PathLike) -> list[SweepRecord]:
 
     Angles come from the stored plan by index arithmetic, so a write/read
     cycle reproduces them bit-for-bit. Spectrum parse failures are re-raised
-    as the same error type with the offending filename prefixed.
+    as the same error type with the offending filename prefixed; a file off
+    the grid of ``t0_s00.csv`` is a ``LayoutError`` naming it.
     """
     out = Path(run_dir)
     plan, meta = read_run_header(out)
-    manifest = _read_text(out / MANIFEST_FILE, MANIFEST_FILE, LayoutError)
-    files = _parse_manifest(manifest, plan)
+    _check_manifest(_read_text(out / MANIFEST_FILE, MANIFEST_FILE, LayoutError), plan)
 
-    missing = sorted(
-        name for name in set(files.values()) if not (out / name).is_file()
-    )
+    names = [[spectrum_filename(t, s) for s in range(plan.n_steps)]
+             for t in range(plan.trials)]
+    missing = sorted(n for row in names for n in row if not (out / n).is_file())
     if missing:
         raise LayoutError(
             f"run directory {out} is missing spectrum files: {', '.join(missing)}"
         )
 
     records = []
-    for trial in range(plan.trials):
-        entries = []
-        for step in range(plan.n_steps):
-            name = files[(trial, step)]
+    grid = None
+    for trial, row_names in enumerate(names):
+        rows = []
+        for name in row_names:
             try:
                 spectrum = read_spectrum(out / name)
             except LumispecError as exc:
                 raise type(exc)(f"{name}: {exc}", line=exc.line) from exc
-            entries.append((plan.angle(step), spectrum))
-        records.append(
-            SweepRecord(
-                plan=plan, trial_index=trial, entries=tuple(entries), meta=meta
-            )
-        )
+            if grid is None:
+                grid = spectrum.wavelengths_nm
+            elif not np.array_equal(spectrum.wavelengths_nm, grid):
+                raise LayoutError(f"{name}: wavelength grid differs from {names[0][0]}")
+            rows.append(spectrum.intensities)
+        records.append(SweepRecord(plan, trial, Spectrum(grid, rows), meta))
     return records
 
 
@@ -407,4 +413,5 @@ def read_profile(path: PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
         if n != counts[0]:
             raise _PROFILE_CSV.fail(lineno, f"inconsistent n_trials {n} vs {counts[0]}")
     angles, means, stds = map(np.asarray, values)
+    _PROFILE_CSV.require_increasing(angles, "angle")
     return angles, means, stds, counts[0]

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import (
     IllegalTransitionError,
     LumispecError,
@@ -202,27 +204,27 @@ class RunMeta:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One completed trial: the plan, its spectra in step order, and meta."""
+    """One completed trial: the plan, meta, and its spectra as one stack on
+    one grid, whose row i was acquired at ``plan.angle(i)``."""
 
     plan: SweepPlan
     trial_index: int
-    entries: tuple[tuple[float, Spectrum], ...]
+    spectra: Spectrum
     meta: RunMeta
 
     def __post_init__(self) -> None:
         if self.trial_index < 0:
             raise ValueError(f"trial_index must be >= 0, got {self.trial_index}")
-        if len(self.entries) != self.plan.n_steps:
-            raise ValueError(
-                f"record has {len(self.entries)} entries for a "
-                f"{self.plan.n_steps}-step plan"
-            )
-        for i, (angle, _) in enumerate(self.entries):
-            if angle != self.plan.angle(i):
-                raise ValueError(
-                    f"entry {i} at {angle!r} deg does not match plan angle "
-                    f"{self.plan.angle(i)!r}"
-                )
+        shape = self.spectra.intensities.shape
+        if len(shape) != 2 or shape[0] != self.plan.n_steps:
+            raise ValueError(f"spectra of shape {shape} for a {self.plan.n_steps}-step plan")
+
+    @property
+    def entries(self) -> tuple[tuple[float, Spectrum], ...]:
+        """(angle, spectrum) per step, derived from the plan and ``spectra``."""
+        grid = self.spectra.wavelengths_nm
+        spectra = [Spectrum(grid, y) for y in self.spectra.intensities]
+        return tuple(zip(self.plan.angles(), spectra))
 
 
 class AcquisitionPort(ABC):
@@ -295,17 +297,15 @@ class ReplayPort(AcquisitionPort):
         from . import dataio  # deferred: dataio imports this module
 
         records = dataio.read_run(run_dir)
-        for record in records:
-            if record.trial_index == trial:
-                self._record = record
-                break
-        else:
+        if not 0 <= trial < len(records):
             raise PortError(f"recorded run has no trial {trial}")
+        self._record = records[trial]
+        self._entries = self._record.entries
         self._pending: Optional[int] = None
 
     def move_to(self, angle_deg: float) -> None:
         self._pending = None
-        for i, (angle, _) in enumerate(self._record.entries):
+        for i, (angle, _) in enumerate(self._entries):
             if abs(angle - angle_deg) <= self._ANGLE_TOL_DEG:
                 self._pending = i
                 return
@@ -317,7 +317,7 @@ class ReplayPort(AcquisitionPort):
     def acquire(self) -> Spectrum:
         if self._pending is None:
             raise PortError("acquire() requires a successful move_to() first")
-        return self._record.entries[self._pending][1]
+        return self._entries[self._pending][1]
 
     def snapshot(self) -> RunMeta:
         return self._record.meta
@@ -335,12 +335,13 @@ def run_sweep(
     Drives Homing, then Moving/Acquiring per step in ascending angle order,
     ending in Complete. Any port failure moves the machine to Faulted and
     raises :class:`PortFaultError` carrying the failing step; no partial
-    record escapes. Pass ``machine`` to observe the protocol from outside.
+    record escapes, and a spectrum off the grid of step 0 is such a
+    failure. Pass ``machine`` to observe the protocol from outside.
     """
     machine = machine if machine is not None else ScanStateMachine()
     machine.transition(ScanState.homing())
 
-    entries: list[tuple[float, Spectrum]] = []
+    spectra: list[Spectrum] = []
     for i in range(plan.n_steps):
         angle = plan.angle(i)
         machine.transition(ScanState.moving(angle))
@@ -354,12 +355,15 @@ def run_sweep(
         machine.transition(ScanState.acquiring(i))
         try:
             spectrum = port.acquire()
+            if spectra and not np.array_equal(spectrum.wavelengths_nm,
+                                              spectra[0].wavelengths_nm):
+                raise PortError("spectrum is not on the wavelength grid of step 0")
         except LumispecError as exc:
             machine.transition(ScanState.faulted(str(exc)))
             raise PortFaultError(
                 f"acquire failed at step {i} ({angle:+.1f} deg): {exc}", step=i
             ) from exc
-        entries.append((angle, spectrum))
+        spectra.append(spectrum)
     machine.transition(ScanState.complete())
 
     if meta is None:
@@ -368,9 +372,8 @@ def run_sweep(
         raise PortError(
             "port provides no run meta snapshot; pass meta= explicitly"
         )
-    return SweepRecord(
-        plan=plan, trial_index=trial_index, entries=tuple(entries), meta=meta
-    )
+    stack = Spectrum(spectra[0].wavelengths_nm, [s.intensities for s in spectra])
+    return SweepRecord(plan=plan, trial_index=trial_index, spectra=stack, meta=meta)
 
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:

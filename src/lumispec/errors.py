@@ -11,12 +11,14 @@ from __future__ import annotations
 class LumispecError(Exception):
     """Base class for all lumispec domain errors.
 
-    ``line`` is the 1-based line of the offending file, or None.
+    ``line`` is the 1-based line of the offending file, or None; ``row``
+    is the index of the offending spectrum in a stack, or None.
     """
 
-    def __init__(self, message: str = "", *, line: int | None = None):
+    def __init__(self, message="", *, line: int | None = None, row: int | None = None):
         super().__init__(message)
         self.line = line
+        self.row = row
 
 
 # --- spectral pipeline ------------------------------------------------------

@@ -1,6 +1,6 @@
 """Spectrum domain types and the angle-sweep analysis pipeline.
 
-The pipeline applied to every acquired spectrum is fixed:
+The pipeline applied to every acquired spectrum, or to a stack of them, is fixed:
 
 1. max-normalize against the largest intensity above the 450 nm cutoff
    (the dichroic mirror suppresses everything below it),
@@ -33,14 +33,12 @@ from .errors import (
 
 _DENOMINATOR_EPS = 1e-12
 
-_trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
-
-def _frozen_array(values, name: str) -> np.ndarray:
+def _frozen_array(values, name: str, max_ndim: int = 1) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not 1 <= arr.ndim <= max_ndim:
+        raise ValueError(f"{name} must have 1 to {max_ndim} dimensions, got {arr.ndim}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -48,11 +46,12 @@ def _frozen_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A sampled emission spectrum on a strictly increasing wavelength grid.
+    """A sampled emission spectrum, or a 2-D stack of them (one per row), on
+    one strictly increasing wavelength grid.
 
     Intensities are in arbitrary units and may be negative (instrument
     baseline subtraction is allowed to undershoot); only the normalizing
-    maximum is required to be positive, and only at normalization time.
+    maximum must be positive, and only at normalization time.
     """
 
     wavelengths_nm: np.ndarray
@@ -60,18 +59,15 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         w = _frozen_array(self.wavelengths_nm, "wavelengths_nm")
-        i = _frozen_array(self.intensities, "intensities")
-        if w.size != i.size:
+        i = _frozen_array(self.intensities, "intensities", max_ndim=2)
+        if w.size != i.shape[-1]:
             raise ValueError("wavelengths_nm and intensities must have equal length")
         if w.size < 2:
             raise ValueError("a spectrum needs at least 2 samples")
-        if not np.all(np.diff(w) > 0):
+        if not (w[1:] > w[:-1]).all():
             raise ValueError("wavelengths_nm must be strictly increasing")
         object.__setattr__(self, "wavelengths_nm", w)
         object.__setattr__(self, "intensities", i)
-
-    def __len__(self) -> int:
-        return int(self.wavelengths_nm.size)
 
     def scaled(self, factor: float) -> "Spectrum":
         """Pointwise intensity scaling; wavelengths unchanged."""
@@ -140,66 +136,79 @@ class SweepStats:
     span95_deg: float
 
 
-def normalize_above_cutoff(s: Spectrum, cutoff_nm: float = 450.0) -> Spectrum:
-    """Divide intensities by the largest intensity at wavelengths > cutoff.
+def normalize_above_cutoff(
+    wavelengths_nm: np.ndarray, intensities: np.ndarray, cutoff_nm: float = 450.0
+) -> np.ndarray:
+    """Divide each spectrum (last axis) by its largest intensity at wavelengths > cutoff.
 
-    The returned spectrum has max-above-cutoff exactly 1. Raises
+    Each result has max-above-cutoff exactly 1. Raises
     ``NoSampleAboveCutoffError`` when no sample lies above the cutoff and
-    ``NonPositiveMaxError`` when the would-be normalizer is <= 0.
+    ``NonPositiveMaxError`` when a would-be normalizer is <= 0; its ``row``
+    is the flat index of the first such spectrum (0 for one spectrum).
     """
-    mask = s.wavelengths_nm > cutoff_nm
+    mask = wavelengths_nm > cutoff_nm
     if not mask.any():
         raise NoSampleAboveCutoffError(
             f"no sample above cutoff {cutoff_nm:g} nm "
-            f"(grid ends at {s.wavelengths_nm[-1]:g} nm)"
+            f"(grid ends at {wavelengths_nm[-1]:g} nm)"
         )
-    peak = float(s.intensities[mask].max())
-    if peak <= 0.0:
+    peak = intensities[..., mask].max(axis=-1, keepdims=True)
+    bad = np.flatnonzero(peak <= 0.0)
+    if bad.size:
         raise NonPositiveMaxError(
-            f"max intensity above {cutoff_nm:g} nm is {peak:g}; cannot normalize"
+            f"max intensity above {cutoff_nm:g} nm is {peak.flat[bad[0]]:g}; "
+            "cannot normalize",
+            row=int(bad[0]),
         )
-    return Spectrum(s.wavelengths_nm, s.intensities / peak)
+    return intensities / peak
 
 
-def smooth_window2(s: Spectrum) -> Spectrum:
-    """Forward pair-average smoothing, length preserving.
+def smooth_window2(intensities: np.ndarray) -> np.ndarray:
+    """Forward pair-average smoothing along the last axis, length preserving.
 
     y[i] = (x[i] + x[i+1]) / 2 for all but the last sample, which is passed
     through unchanged. Constant signals are preserved exactly.
     """
-    x = s.intensities
-    y = x.copy()
-    y[:-1] = 0.5 * (x[:-1] + x[1:])
-    return Spectrum(s.wavelengths_nm, y)
+    y = intensities.copy()
+    y[..., :-1] = 0.5 * (intensities[..., :-1] + intensities[..., 1:])
+    return y
 
 
-def trapz_band(s: Spectrum, lo_nm: float, hi_nm: float) -> float:
+def trapz_band(
+    wavelengths_nm: np.ndarray, intensities: np.ndarray, lo_nm: float, hi_nm: float
+) -> float | np.ndarray:
     """Trapezoidal integral over grid samples with lo_nm <= wavelength <= hi_nm.
 
-    Integration runs on the native grid: band edges snap to the enclosed
-    samples, with no sub-sample interpolation. Raises ``EmptyBandError`` when
-    fewer than two samples fall inside the band.
+    Integrates along the last axis: a float for one spectrum, an array for
+    a stack. Band edges snap to the enclosed grid samples, with no
+    sub-sample interpolation. Raises ``EmptyBandError`` when fewer than two
+    samples fall inside the band.
     """
     if not lo_nm < hi_nm:
         raise EmptyBandError(f"band [{lo_nm:g}, {hi_nm:g}] nm is empty")
-    mask = (s.wavelengths_nm >= lo_nm) & (s.wavelengths_nm <= hi_nm)
+    mask = (wavelengths_nm >= lo_nm) & (wavelengths_nm <= hi_nm)
     if int(mask.sum()) < 2:
         raise EmptyBandError(
             f"band [{lo_nm:g}, {hi_nm:g}] nm contains fewer than 2 samples"
         )
-    return float(_trapz(s.intensities[mask], s.wavelengths_nm[mask]))
+    # A masked stack is not C-contiguous; summing strided rows would lose
+    # np.trapezoid's pairwise summation and drift ~1e-13 from one spectrum alone.
+    y = np.ascontiguousarray(intensities[..., mask])
+    area = (np.diff(wavelengths_nm[mask]) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
+    return float(area) if area.ndim == 0 else area
 
 
-def run_pipeline(s: Spectrum, cfg: PipelineConfig | None = None) -> float:
-    """Full per-spectrum pipeline: normalize, smooth, integrate.
+def run_pipeline(s: Spectrum, cfg: PipelineConfig | None = None) -> float | np.ndarray:
+    """Full pipeline: normalize, smooth, integrate each spectrum of ``s``.
 
+    Returns a float for one spectrum and an array of AUCs for a stack.
     Invariant under positive pointwise scaling of the input, since the
     normalization step cancels any common factor.
     """
     cfg = cfg if cfg is not None else PipelineConfig()
-    normalized = normalize_above_cutoff(s, cfg.norm_cutoff_nm)
-    smoothed = smooth_window2(normalized)
-    return trapz_band(smoothed, cfg.auc_lo_nm, cfg.auc_hi_nm)
+    w = s.wavelengths_nm
+    normalized = normalize_above_cutoff(w, s.intensities, cfg.norm_cutoff_nm)
+    return trapz_band(w, smooth_window2(normalized), cfg.auc_lo_nm, cfg.auc_hi_nm)
 
 
 def auc_profile(
@@ -250,14 +259,14 @@ def band_ratio(
     band_a: tuple[float, float] = (450.0, 500.0),
     band_b: tuple[float, float] = (500.0, 570.0),
 ) -> float:
-    """Ratio of band integrals, the tissue-signature discriminant.
+    """Ratio of band integrals of one spectrum, the tissue-signature discriminant.
 
     Defaults split the emission range at 500 nm: band A captures the short
     fluorophore peak, band B the long one. Raises
     ``DegenerateDenominatorError`` when band B integrates to ~zero.
     """
-    numerator = trapz_band(s, band_a[0], band_a[1])
-    denominator = trapz_band(s, band_b[0], band_b[1])
+    numerator = trapz_band(s.wavelengths_nm, s.intensities, *band_a)
+    denominator = trapz_band(s.wavelengths_nm, s.intensities, *band_b)
     if denominator <= _DENOMINATOR_EPS:
         raise DegenerateDenominatorError(
             f"band {band_b} integral {denominator:g} is not above {_DENOMINATOR_EPS:g}"

@@ -145,7 +145,7 @@ def test_criterion_4_quadrature_convergence():
             n = round((800.0 - 400.0) / step) + 1
             w = 400.0 + step * np.arange(n)
             i = amplitude * np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
-            return abs(trapz_band(Spectrum(w, i), 450.0, 750.0) - exact) / exact
+            return abs(trapz_band(w, i, 450.0, 750.0) - exact) / exact
 
         err_coarse = rel_err(0.5)
         err_fine = rel_err(0.1)

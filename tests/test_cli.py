@@ -213,6 +213,19 @@ class TestAnalyze:
         assert rc == 1
         assert "t0_s01.csv: line 6:" in err
 
+    def test_non_positive_spectrum_names_trial_and_angle(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        simulate_flat(capsys, out, "--seed", "7")
+        victim = out / "t1_s05.csv"
+        lines = victim.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        victim.write_text("\n".join(
+            [lines[0]] + [w + "," + ("-1.0" if float(w) > 450.0 else i) for w, i in rows]
+        ) + "\n")
+        rc, _, err = run_cli(capsys, "analyze", "--run", str(out))
+        assert rc == 1
+        assert err.startswith("error: trial 1, angle -9.0 deg: max intensity above 450 nm")
+
     def test_custom_band(self, capsys, tmp_path):
         out = tmp_path / "run"
         simulate_flat(capsys, out, "--seed", "7")
@@ -254,6 +267,21 @@ class TestReport:
         )
         assert rc == 0
         assert stdout == "mean=0.98 std=0.01 span95=±18.0deg\n"
+
+    def test_unordered_profile_angles_named(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        self.write_profile_rows(path, [-1.8, 0.0, 1.8], [0.9, 1.0, 0.9])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n")
+        rc, _, err = run_cli(capsys, "report", "--profile", str(path))
+        assert rc == 1
+        assert "profile line 3: angle -1.8 does not increase past 0.0" in err
+        rc, _, err = run_cli(
+            capsys, "export-svg", "--profile", str(path), "--which", "profile",
+            "--out", str(tmp_path / "p.svg"),
+        )
+        assert rc == 1
+        assert "profile line 3:" in err
 
     def test_missing_profile(self, capsys, tmp_path):
         rc, _, err = run_cli(
@@ -316,6 +344,24 @@ class TestExportSvg:
         assert count_tags(svg, "polyline") == 1
         assert count_tags(svg, "circle") == 21
         assert "stroke-dasharray" in svg.read_text()
+
+    def test_run_off_one_grid_refused(self, capsys, tmp_path, flat_run):
+        victim = flat_run / "t2_s13.csv"
+        lines = victim.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        victim.write_text("\n".join(
+            [lines[0]] + ["%.6f,%s" % (float(w) + 0.25, i) for w, i in rows]
+        ) + "\n")
+        rc, _, err = run_cli(capsys, "analyze", "--run", str(flat_run))
+        assert rc == 1
+        assert "t2_s13.csv: wavelength grid" in err
+        for which in ("spectra", "spectra-smoothed"):
+            rc, _, err = run_cli(
+                capsys, "export-svg", "--run", str(flat_run),
+                "--which", which, "--out", str(tmp_path / "x.svg"),
+            )
+            assert rc == 1
+            assert "t2_s13.csv: wavelength grid" in err
 
     def test_spectra_without_run(self, capsys, tmp_path):
         rc, _, err = run_cli(

@@ -286,10 +286,9 @@ class TestRewrite:
 
 
 def tiny_records(plan, meta):
-    spectrum = Spectrum(np.array([400.0, 500.0]), np.array([1.0, 2.0]))
-    entries = tuple((plan.angle(i), spectrum) for i in range(plan.n_steps))
+    spectra = Spectrum(np.array([400.0, 500.0]), np.array([[1.0, 2.0]] * plan.n_steps))
     return [
-        SweepRecord(plan=plan, trial_index=t, entries=entries, meta=meta)
+        SweepRecord(plan=plan, trial_index=t, spectra=spectra, meta=meta)
         for t in range(plan.trials)
     ]
 
@@ -448,6 +447,32 @@ class TestReadRunErrors:
         with pytest.raises(LayoutError, match="trial"):
             read_run(small_run)
 
+    @pytest.mark.parametrize(
+        "lineno, name",
+        [(3, "t0_s00.csv"), (2, "../outside.csv")],
+        ids=["other-step", "outside-run"],
+    )
+    def test_manifest_spectrum_file_must_be_canonical(self, small_run, lineno, name):
+        # Both targets exist and parse, so only the name check can refuse them.
+        shutil.copy(small_run / "t0_s00.csv", small_run.parent / "outside.csv")
+
+        def repoint(ls):
+            fields = ls[lineno - 1].split(",")
+            fields[3] = name
+            return ls[:lineno - 1] + [",".join(fields)] + ls[lineno:]
+
+        edit_lines(small_run / MANIFEST_FILE, repoint)
+        with pytest.raises(LayoutError, match=f"manifest.csv line {lineno}: ") as info:
+            read_run(small_run)
+        assert info.value.line == lineno
+
+    def test_spectrum_on_other_grid_named(self, small_run):
+        path = small_run / "t1_s02.csv"
+        s = read_spectrum(path)
+        write_spectrum(Spectrum(s.wavelengths_nm + 0.25, s.intensities), path)
+        with pytest.raises(LayoutError, match="t1_s02.csv: wavelength grid"):
+            read_run(small_run)
+
 
 class TestProfileFormat:
     def test_round_trip(self, tmp_path):
@@ -491,6 +516,19 @@ class TestProfileFormat:
         path = tmp_path / "profile.csv"
         path.write_text(PROFILE_HEADER + "\n0.000000,1.0,0.0,3\n1.800000,nan,0.0,3\n")
         with pytest.raises(DataIoError, match="profile line 3: ") as info:
+            read_profile(path)
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("second", ["-1.800000", "0.000000"], ids=["falls", "repeats"])
+    def test_angles_must_increase(self, tmp_path, second):
+        path = tmp_path / "profile.csv"
+        path.write_text(
+            PROFILE_HEADER + f"\n0.000000,1.0,0.0,3\n{second},0.9,0.0,3\n"
+        )
+        with pytest.raises(
+            DataIoError, match=f"profile line 3: angle {float(second)!r} does not "
+            "increase past 0.0"
+        ) as info:
             read_profile(path)
         assert info.value.line == 3
 

@@ -24,6 +24,7 @@ from lumispec.engine import (
 from lumispec.errors import IllegalTransitionError, PortError, PortFaultError
 from lumispec.geometry import PivotGeometry, SphereSurface
 from lumispec.optics import OpticalConfig
+from lumispec.spectral import Spectrum
 
 
 class TestSweepPlan:
@@ -270,6 +271,19 @@ class TestRunSweep:
         assert info.value.step == 7
         assert machine.state.phase is ScanPhase.FAULTED
 
+    def test_spectrum_off_grid_becomes_port_fault(self):
+        class ShiftingPort(FaultyPort):
+            def acquire(self):
+                s = super().acquire()
+                shift = 0.25 if self._moves - 1 == 3 else 0.0
+                return Spectrum(s.wavelengths_nm + shift, s.intensities)
+
+        machine = ScanStateMachine()
+        with pytest.raises(PortFaultError, match="grid") as info:
+            run_sweep(default_plan(), ShiftingPort(fail_step=None), machine=machine)
+        assert info.value.step == 3
+        assert machine.state.phase is ScanPhase.FAULTED
+
     def test_geometry_miss_becomes_port_fault(self):
         # Sweeping a small sphere past its tangent angle faults the trial.
         plan = SweepPlan(start_deg=0.0, step_deg=10.0, n_steps=5, trials=1)
@@ -303,18 +317,12 @@ class TestSweepRecord:
         plan = SweepPlan(start_deg=0.0, n_steps=2, trials=1)
         port = SimulatedPort(seed=0)
         record = run_sweep(plan, port)
+        one_row = Spectrum(record.spectra.wavelengths_nm, record.spectra.intensities[:1])
         with pytest.raises(ValueError):
             SweepRecord(
                 plan=plan, trial_index=0,
-                entries=record.entries[:1], meta=record.meta,
+                spectra=one_row, meta=record.meta,
             )
-
-    def test_angle_match_enforced(self):
-        plan = SweepPlan(start_deg=0.0, n_steps=2, trials=1)
-        record = run_sweep(plan, SimulatedPort(seed=0))
-        bad = ((5.0, record.entries[0][1]), record.entries[1])
-        with pytest.raises(ValueError):
-            SweepRecord(plan=plan, trial_index=0, entries=bad, meta=record.meta)
 
 
 def simulated_factory(**port_kwargs):

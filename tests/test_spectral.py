@@ -88,66 +88,73 @@ class TestPipelineConfig:
 class TestNormalizeAboveCutoff:
     def test_basic_division(self):
         s = spectrum([440.0, 460.0, 525.0], [0.2, 2.0, 1.0])
-        out = normalize_above_cutoff(s, 450.0)
-        assert np.array_equal(out.intensities, [0.1, 1.0, 0.5])
-        assert np.array_equal(out.wavelengths_nm, s.wavelengths_nm)
+        out = normalize_above_cutoff(s.wavelengths_nm, s.intensities, 450.0)
+        assert np.array_equal(out, [0.1, 1.0, 0.5])
+        assert out.shape == s.wavelengths_nm.shape
 
     def test_idempotent_when_already_normalized(self):
         s = spectrum([440.0, 460.0, 525.0], [0.05, 1.0, 0.5])
-        out = normalize_above_cutoff(s, 450.0)
-        assert np.array_equal(out.intensities, s.intensities)
+        out = normalize_above_cutoff(s.wavelengths_nm, s.intensities, 450.0)
+        assert np.array_equal(out, s.intensities)
 
     def test_no_sample_above_cutoff(self):
         s = spectrum([400.0, 420.0], [1.0, 2.0])
         with pytest.raises(NoSampleAboveCutoffError):
-            normalize_above_cutoff(s, 450.0)
+            normalize_above_cutoff(s.wavelengths_nm, s.intensities, 450.0)
 
     def test_cutoff_is_strict(self):
         # A sample exactly at the cutoff does not count as above it.
         s = spectrum([400.0, 450.0], [1.0, 2.0])
         with pytest.raises(NoSampleAboveCutoffError):
-            normalize_above_cutoff(s, 450.0)
+            normalize_above_cutoff(s.wavelengths_nm, s.intensities, 450.0)
 
     def test_non_positive_max(self):
         s = spectrum([460.0, 470.0], [-1.0, 0.0])
         with pytest.raises(NonPositiveMaxError):
-            normalize_above_cutoff(s, 450.0)
+            normalize_above_cutoff(s.wavelengths_nm, s.intensities, 450.0)
+
+    def test_non_positive_max_names_row(self):
+        w = np.array([440.0, 460.0, 470.0])
+        stack = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 1.0], [5.0, -1.0, 0.0]])
+        with pytest.raises(NonPositiveMaxError) as info:
+            normalize_above_cutoff(w, stack, 450.0)
+        assert info.value.row == 2
 
     def test_fixed_point_is_exact(self):
         rng = np.random.default_rng(101)
         w = grid(440.0, 600.0, 1.0)
         for _ in range(50):
             s = spectrum(w, rng.uniform(0.1, 9.0, size=w.size))
-            out = normalize_above_cutoff(s, 450.0)
-            assert out.intensities[out.wavelengths_nm > 450.0].max() == 1.0
+            out = normalize_above_cutoff(s.wavelengths_nm, s.intensities, 450.0)
+            assert out[s.wavelengths_nm > 450.0].max() == 1.0
 
 
 class TestSmoothWindow2:
     def test_constants_preserved(self):
         s = spectrum([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
-        assert np.array_equal(smooth_window2(s).intensities, [1, 1, 1, 1])
+        assert np.array_equal(smooth_window2(s.intensities), [1, 1, 1, 1])
 
     def test_pair_average_with_tail_passthrough(self):
         s = spectrum([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 5.0, 7.0])
-        assert np.array_equal(smooth_window2(s).intensities, [2, 4, 6, 7])
+        assert np.array_equal(smooth_window2(s.intensities), [2, 4, 6, 7])
 
     def test_spike_spreads_forward(self):
         s = spectrum([1.0, 2.0, 3.0, 4.0], [0.0, 4.0, 0.0, 0.0])
-        assert np.array_equal(smooth_window2(s).intensities, [2, 2, 0, 0])
+        assert np.array_equal(smooth_window2(s.intensities), [2, 2, 0, 0])
 
     def test_length_and_wavelengths_preserved(self):
         w = grid(450.0, 460.0, 0.5)
         s = spectrum(w, np.sin(w))
-        out = smooth_window2(s)
-        assert out.intensities.size == s.intensities.size
-        assert np.array_equal(out.wavelengths_nm, w)
+        out = smooth_window2(s.intensities)
+        assert out.size == s.intensities.size
+        assert out.shape == w.shape
 
     def test_total_variation_never_grows(self):
         rng = np.random.default_rng(202)
         w = grid(450.0, 550.0, 1.0)
         for _ in range(100):
             x = rng.normal(size=w.size)
-            y = smooth_window2(spectrum(w, x)).intensities
+            y = smooth_window2(spectrum(w, x).intensities)
             tv = lambda v: np.abs(np.diff(v)).sum()
             assert tv(y) <= tv(x) + 1e-12
 
@@ -156,17 +163,17 @@ class TestTrapzBand:
     def test_constant_rectangle(self):
         w = grid(450.0, 750.0, 0.5)
         s = spectrum(w, np.ones(w.size))
-        assert trapz_band(s, 450.0, 750.0) == pytest.approx(300.0, abs=1e-9)
+        assert trapz_band(w, s.intensities, 450.0, 750.0) == pytest.approx(300.0, abs=1e-9)
 
     def test_linear_ramp_triangle(self):
         w = grid(450.0, 750.0, 0.5)
         s = spectrum(w, (w - 450.0) / 300.0)
-        assert trapz_band(s, 450.0, 750.0) == pytest.approx(150.0, abs=1e-9)
+        assert trapz_band(w, s.intensities, 450.0, 750.0) == pytest.approx(150.0, abs=1e-9)
 
     def test_gaussian_matches_erf_oracle(self):
         w = grid()
         s = spectrum(w, np.exp(-((w - 525.0) ** 2) / (2.0 * 30.0**2)))
-        got = trapz_band(s, 450.0, 750.0)
+        got = trapz_band(s.wavelengths_nm, s.intensities, 450.0, 750.0)
         oracle = gaussian_band_integral(525.0, 30.0, 1.0, 450.0, 750.0)
         assert oracle == pytest.approx(GAUSS_525_30_BAND_INTEGRAL, rel=1e-12)
         assert got == pytest.approx(oracle, rel=1e-3)
@@ -175,22 +182,23 @@ class TestTrapzBand:
         w = np.array([449.5, 450.0, 450.5, 451.0])
         s = spectrum(w, np.ones(4))
         # Samples at exactly 450.0 and 451.0 are inside the band.
-        assert trapz_band(s, 450.0, 451.0) == pytest.approx(1.0, abs=1e-12)
+        assert trapz_band(w, s.intensities, 450.0, 451.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_band(self):
         s = spectrum([400.0, 410.0, 420.0], [1.0, 1.0, 1.0])
         with pytest.raises(EmptyBandError):
-            trapz_band(s, 700.0, 750.0)
+            trapz_band(s.wavelengths_nm, s.intensities, 700.0, 750.0)
         with pytest.raises(EmptyBandError):
-            trapz_band(s, 405.0, 415.0)  # single enclosed sample
+            trapz_band(s.wavelengths_nm, s.intensities, 405.0, 415.0)  # single enclosed sample
 
     def test_additive_at_grid_point(self):
         rng = np.random.default_rng(303)
         w = grid(450.0, 750.0, 0.5)
         for _ in range(20):
             s = spectrum(w, rng.uniform(0.0, 2.0, size=w.size))
-            whole = trapz_band(s, 450.0, 750.0)
-            parts = trapz_band(s, 450.0, 600.0) + trapz_band(s, 600.0, 750.0)
+            whole = trapz_band(w, s.intensities, 450.0, 750.0)
+            parts = (trapz_band(w, s.intensities, 450.0, 600.0)
+                     + trapz_band(w, s.intensities, 600.0, 750.0))
             assert parts == pytest.approx(whole, rel=1e-12)
 
 
@@ -221,6 +229,21 @@ class TestRunPipeline:
         )
         assert got > 0.0
         assert got == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("radius_mm", [None, 25.0], ids=["flat", "convex"])
+    def test_stack_equals_each_spectrum_bitwise(self, radius_mm):
+        from lumispec.engine import SimulatedPort, default_plan, run_triplicate
+        from lumispec.geometry import SphereSurface
+
+        surface = SphereSurface(radius_mm=radius_mm) if radius_mm else None
+        records = run_triplicate(
+            default_plan(), lambda t, seed: SimulatedPort(surface=surface, seed=seed), 7
+        )
+        for record in records:
+            stacked = run_pipeline(record.spectra)
+            alone = [run_pipeline(s) for _, s in record.entries]
+            assert stacked.shape == (21,)
+            assert stacked.tolist() == alone
 
     def test_custom_config_changes_band(self):
         w = grid()
