@@ -178,19 +178,59 @@ def _parse_rows(text: str, fmt: _CsvFormat) -> list[list]:
 
 # --- spectrum files ---------------------------------------------------------
 
+_WAVELENGTH_CELL, _INTENSITY_CELL = _SPECTRUM_CSV.row.split(",")
+
+
+def _spectrum_template(wavelengths_nm: np.ndarray) -> str:
+    """The text of a spectrum file on this grid, with one ``%.9e`` slot per
+    intensity: every file of a run shares the wavelength column, so it is
+    formatted once per grid."""
+    rows = (f"{_WAVELENGTH_CELL % w},{_INTENSITY_CELL}" for w in wavelengths_nm.tolist())
+    return "\n".join([SPECTRUM_HEADER, *rows]) + "\n"
+
+
 def write_spectrum(spectrum: Spectrum, path: PathLike) -> None:
     """Write one spectrum in the canonical text format."""
-    _write_csv(path, _SPECTRUM_CSV, zip(spectrum.wavelengths_nm, spectrum.intensities))
+    text = _spectrum_template(spectrum.wavelengths_nm) % tuple(spectrum.intensities.tolist())
+    _write_text(Path(path), text)
+
+
+def _load_spectrum_table(text: str) -> Optional[np.ndarray]:
+    """The ``(n_samples, 2)`` table of a valid spectrum file in one numpy
+    parse, or None when the file may be invalid.
+
+    ``np.loadtxt`` parses every value it accepts as ``float()`` does, but
+    it skips the empty lines that ``_parse_rows`` rejects, and warns when
+    the body has nothing else: so a file with an empty line is left to
+    ``_parse_rows``, and the table must have one row per body line.
+    """
+    lines = text.splitlines()
+    if len(lines) < 3 or lines[0] != SPECTRUM_HEADER or "" in lines:
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines) - 1, 2) or not np.isfinite(table).all():
+        return None
+    wavelengths = table[:, 0]
+    if not (wavelengths[1:] > wavelengths[:-1]).all():
+        return None
+    return table
 
 
 def read_spectrum(path: PathLike) -> Spectrum:
     """Parse a canonical spectrum file back into a Spectrum.
 
-    Failures carry a 1-based line number where applicable (line 1 is the
-    header).
+    A valid file is parsed in one numpy pass. Any other file is parsed
+    again by ``_parse_rows``, whose failures carry a 1-based line number
+    where applicable (line 1 is the header).
     """
-    columns = _parse_rows(_read_text(Path(path), "spectrum file"), _SPECTRUM_CSV)
-    wavelengths, intensities = map(np.asarray, columns)
+    text = _read_text(Path(path), "spectrum file")
+    table = _load_spectrum_table(text)
+    if table is not None:
+        return Spectrum(table[:, 0], table[:, 1])
+    wavelengths, intensities = map(np.asarray, _parse_rows(text, _SPECTRUM_CSV))
     if wavelengths.size < 2:
         raise SpectrumParseError(
             f"spectrum needs at least 2 samples, found {wavelengths.size}"
@@ -212,9 +252,10 @@ def _format_meta_value(kind, value) -> str:
 def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
     """Persist a full run (all trials) as a canonical run directory.
 
-    All records must share one plan and one meta block, with distinct trial
-    indices covering 0..trials-1. A best-effort ``.lock`` file guards
-    against concurrent writers; it is removed when the write finishes.
+    All records must share one plan, one meta block and one wavelength
+    grid, with distinct trial indices covering 0..trials-1. A best-effort
+    ``.lock`` file guards against concurrent writers; it is removed when
+    the write finishes.
     Files the layout owns from an earlier run (meta, manifest, profile and
     spectrum files) are removed first; any other file is left alone.
     """
@@ -222,11 +263,14 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
         raise ValueError("write_run requires at least one record")
     plan = records[0].plan
     meta = records[0].meta
+    grid = records[0].spectra.wavelengths_nm
     for record in records[1:]:
         if record.plan != plan:
             raise ValueError("all records in a run must share one plan")
         if record.meta != meta:
             raise ValueError("all records in a run must share one meta block")
+        if not np.array_equal(record.spectra.wavelengths_nm, grid):
+            raise ValueError("all records in a run must share one wavelength grid")
     trials = sorted(record.trial_index for record in records)
     if trials != list(range(plan.trials)):
         raise ValueError(
@@ -265,12 +309,13 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
         ]
         _write_text(out / META_FILE, "\n".join(meta_lines) + "\n")
 
+        template = _spectrum_template(grid)
         manifest_rows = []
         for record in sorted(records, key=lambda r: r.trial_index):
-            for step, (angle, spectrum) in enumerate(record.entries):
+            for step, (angle, row) in enumerate(zip(plan.angles(), record.spectra.intensities)):
                 name = spectrum_filename(record.trial_index, step)
                 manifest_rows.append((record.trial_index, step, angle, name))
-                write_spectrum(spectrum, out / name)
+                _write_text(out / name, template % tuple(row.tolist()))
         _write_csv(out / MANIFEST_FILE, _MANIFEST_CSV, manifest_rows)
     finally:
         try:

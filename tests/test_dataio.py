@@ -1,8 +1,9 @@
 """Unit tests for spectrum files and run directories.
 
-Round-trip fidelity, typed parse failures with file/line context, and a
-seeded fuzz loop asserting corrupt inputs never escape the package's own
-error hierarchy.
+Round-trip fidelity, typed parse failures with file/line context, a corpus
+holding read_spectrum to the column loop it falls back to, and a seeded
+fuzz loop asserting corrupt inputs never escape the package's own error
+hierarchy.
 """
 
 import shutil
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from lumispec.dataio import (
+    _SPECTRUM_CSV,
     MANIFEST_FILE,
     META_FILE,
     PROFILE_FILE,
@@ -20,6 +22,7 @@ from lumispec.dataio import (
     read_run,
     read_run_header,
     read_spectrum,
+    _parse_rows,
     spectrum_filename,
     write_profile,
     write_run,
@@ -257,6 +260,14 @@ class TestWriteRunValidation:
     def test_duplicate_trial(self, small_records, tmp_path):
         with pytest.raises(ValueError, match="trial indices"):
             write_run([small_records[0], small_records[0]], tmp_path / "run")
+
+    def test_records_on_two_grids(self, small_records, tmp_path):
+        first = small_records[0].spectra
+        shifted = Spectrum(first.wavelengths_nm + 0.5, first.intensities)
+        records = [replace(small_records[0], spectra=shifted), *small_records[1:]]
+        with pytest.raises(ValueError, match="one wavelength grid"):
+            write_run(records, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 def edit_lines(path, fn):
@@ -538,6 +549,121 @@ class TestProfileFormat:
         with pytest.raises(DataIoError) as info:
             read_profile(path)
         assert str(path) in str(info.value)
+
+
+def reference_read_spectrum(text):
+    """The column loop alone: ``_parse_rows`` plus the size and order checks."""
+    wavelengths, intensities = map(np.asarray, _parse_rows(text, _SPECTRUM_CSV))
+    if wavelengths.size < 2:
+        raise SpectrumParseError(
+            f"spectrum needs at least 2 samples, found {wavelengths.size}"
+        )
+    _SPECTRUM_CSV.require_increasing(wavelengths, "wavelength", NonMonotonicWavelengthError)
+    return wavelengths, intensities
+
+
+def assert_reads_like_reference(text, path):
+    """read_spectrum accepts exactly what the reference accepts, with the
+    same float64 bits, and fails with the same type, message and line."""
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        wavelengths, intensities = reference_read_spectrum(text)
+    except LumispecError as expected:
+        with pytest.raises(LumispecError) as info:
+            read_spectrum(path)
+        got = info.value
+        assert (type(got), str(got), got.line) == (type(expected), str(expected), expected.line)
+        return False
+    got = read_spectrum(path)
+    assert got.wavelengths_nm.tobytes() == wavelengths.tobytes()
+    assert got.intensities.tobytes() == intensities.tobytes()
+    return True
+
+
+SPECTRUM_TEXT = (
+    "wavelength_nm,intensity\n"
+    "400.000000,1.000000000e+00\n"
+    "400.500000,-2.500000000e-01\n"
+    "401.000000,3.000000000e+00\n"
+)
+HEADER = "wavelength_nm,intensity\n"
+
+
+def body(*rows):
+    return HEADER + "".join(f"{row}\n" for row in rows)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSpectrumParseEquivalence:
+    """Every spectrum text reads as the column loop reads it, without warnings."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(SPECTRUM_TEXT, id="canonical"),
+        pytest.param(SPECTRUM_TEXT.rstrip("\n"), id="no-final-newline"),
+        pytest.param(body("400.0,1.0", "", "401.0,2.0"), id="blank-line-middle"),
+        pytest.param(SPECTRUM_TEXT + "\n", id="blank-line-end"),
+        pytest.param(HEADER + "\n\n", id="blank-lines-only"),
+        pytest.param(body("400.0,1.0", "# note", "401.0,2.0"), id="hash-line"),
+        pytest.param(body("400.0,1.0#", "401.0,2.0"), id="hash-in-cell"),
+        pytest.param(SPECTRUM_TEXT.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(SPECTRUM_TEXT.replace("\n", "\r", 2), id="lone-cr"),
+        pytest.param(SPECTRUM_TEXT.replace("\n", "\x0c"), id="form-feed-lines"),
+        pytest.param(body("400.0,1.0\x0c", "401.0,2.0"), id="form-feed-end-of-row"),
+        pytest.param(body("400.0,1_0", "401.0,2.0"), id="underscore"),
+        pytest.param(body(" 400.0 , 1.0 ", "\t401.0,2.0\t"), id="spaces"),
+        pytest.param(body("+400.0,+1.0", "401.0,-2.0"), id="plus"),
+        pytest.param(body("400.0,1.0", "\uff14\uff10\uff11,2.0"), id="full-width-digits"),
+        pytest.param(body("400.0,1.0", "401.0,\u30002.0"), id="ideographic-space"),
+        pytest.param(body("400.0,nan", "401.0,2.0"), id="nan"),
+        pytest.param(body("400.0,1.0", "401.0,-inf"), id="inf"),
+        pytest.param(body("400.0,1.0", "Infinity,2.0"), id="infinity"),
+        pytest.param(body("400.0,1e999", "401.0,2.0"), id="overflow"),
+        pytest.param(body("400.0,1.0", "401.0"), id="one-field"),
+        pytest.param(body("400.0", "401.0"), id="one-field-every-row"),
+        pytest.param(body("400.0,1.0", "401.0,2.0,3.0"), id="three-fields"),
+        pytest.param(body("400.0,1.0,3.0", "401.0,2.0,3.0"), id="three-fields-every-row"),
+        pytest.param(body("400.0,1.0,", "401.0,2.0,"), id="trailing-comma"),
+        pytest.param(body("400.0,1.0", "401.0,2.0", "402.0,"), id="empty-cell"),
+        pytest.param(body('400.0,"1.0"', "401.0,2.0"), id="quoted-cell"),
+        pytest.param(body("400.0,1.0", "401.0,2.0\x00"), id="nul"),
+        pytest.param(body("400.0,0x1p3", "401.0,2.0"), id="hex-float"),
+        pytest.param(HEADER, id="header-only"),
+        pytest.param(body("400.0,1.0"), id="one-row"),
+        pytest.param("", id="empty-file"),
+        pytest.param(SPECTRUM_TEXT.replace("wavelength_nm", "wavelength"), id="wrong-header"),
+        pytest.param(body("400.0,1.0", "400.0,2.0"), id="duplicate-wavelength"),
+        pytest.param(body("400.0,1.0", "401.0,2.0", "400.5,3.0"), id="decreasing-wavelength"),
+        pytest.param(body("401.0,1.0", "400.0,x"), id="garbage-after-decrease"),
+    ])
+    def test_named_case(self, text, tmp_path):
+        assert_reads_like_reference(text, tmp_path / "s.csv")
+
+    def test_seeded_mutations(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        alphabet = list("0123456789.,-+eE _#\"nafiINF\t\n\r\x0b\x0c\x00\x85\u2028\u3000\uff10")
+        lines = SPECTRUM_TEXT.splitlines(keepends=True)
+        accepted = 0
+        for case in range(240):
+            text = list("".join(lines))
+            for _ in range(int(rng.integers(1, 4))):
+                op = int(rng.integers(5))
+                pos = int(rng.integers(len(text) + 1))
+                if op == 0:  # insert a character
+                    text.insert(pos, alphabet[rng.integers(len(alphabet))])
+                elif op == 1 and pos < len(text):  # delete a character
+                    del text[pos]
+                elif op == 2 and pos < len(text):  # replace a character
+                    text[pos] = alphabet[rng.integers(len(alphabet))]
+                elif op == 3:  # repeat a data line
+                    text[pos:pos] = lines[int(rng.integers(1, len(lines)))]
+                elif op == 4:  # drop a line
+                    kept = "".join(text).splitlines(keepends=True)
+                    if kept:
+                        del kept[int(rng.integers(len(kept)))]
+                    text = list("".join(kept))
+            accepted += assert_reads_like_reference("".join(text), tmp_path / f"m{case}.csv")
+        # Both outcomes must be well represented for the corpus to mean much.
+        assert 20 <= accepted <= 220
 
 
 class TestFuzz:

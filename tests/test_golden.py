@@ -4,6 +4,11 @@ Every file of the flat and the convex (R = 25 mm) default runs, profile.csv
 included, must hash exactly as below. A change to the file formats, the
 forward model or numpy's Generator streams (NEP 19 lets them change between
 releases) fails here instead of silently changing published runs.
+
+The values read back from those files are pinned too, as sha256 digests of
+the float64 bytes of the wavelength grid and of each trial's intensity
+stack, so a parser that is off by one ulp fails here even though the files
+hash the same.
 """
 
 import hashlib
@@ -11,6 +16,7 @@ import hashlib
 import pytest
 
 from lumispec.cli import SEED_ENV_VAR, main
+from lumispec.dataio import read_run
 
 GOLDEN = {
     "flat7": {
@@ -174,3 +180,40 @@ def test_seed7_default_run_digests(name, capsys, tmp_path, monkeypatch):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()
     }
     assert digests == golden["files"]
+
+
+GOLDEN_VALUES = {
+    "flat7": {
+        "grid": "916e7718b84fa21b48bd6ba5859c7368368e95e8023c8beed904ad19206fb745",
+        "intensities": [
+            "1cf4d8964b964fb888bcda26c0d7247fbac31dd1e48b6a88f70d009bee025c87",
+            "bc87b285564faabfba6d30fde9c49c71d0193153e683a87ccd4ec8bb14ca32ee",
+            "ca6f74279c35c2d9f84fb2d8c26f35f91b52a26b346885a7eaf5ac1410d732a4",
+        ],
+    },
+    "convex7": {
+        "grid": "916e7718b84fa21b48bd6ba5859c7368368e95e8023c8beed904ad19206fb745",
+        "intensities": [
+            "f67f377e2071639eae7a04ea95c3042b2430e91178e389151e0511bee226bc36",
+            "0313b7fd4890e667029a1f646f81f076c2c2a7583af92f4f77a54e23788f07c0",
+            "3dfc150cddf93a25fcdc58bc4d03b1e0d7d5ffe650506b662b621305bd6c18c7",
+        ],
+    },
+}
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VALUES))
+def test_seed7_default_run_parsed_values(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    run = tmp_path / "run"
+    assert main(["simulate", *GOLDEN[name]["argv"], "--seed", "7", "--out", str(run)]) == 0
+    capsys.readouterr()
+    records = read_run(run)
+    assert [_digest(r.spectra.wavelengths_nm) for r in records] == [
+        GOLDEN_VALUES[name]["grid"]
+    ] * len(records)
+    assert [_digest(r.spectra.intensities) for r in records] == GOLDEN_VALUES[name]["intensities"]
