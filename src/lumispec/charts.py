@@ -6,6 +6,13 @@ Contract relied on by callers and tests: every data series becomes exactly
 one ``<polyline>`` element; axes, ticks, and reference rules are drawn
 with ``<line>``. Output is well-formed XML with inline styles only and no
 external references, so the file renders anywhere as-is.
+
+Every coordinate is written as ``f"{v:.2f}"`` with trailing zeros and then
+a trailing point stripped (``_fmt``). Pixel coordinates are computed per
+series as numpy arrays, with the same float operations in the same order
+as for one value, and formatted in one pass per series. The output bytes
+depend only on the inputs; ``tests/test_golden.py`` pins them for the
+seed-7 figures.
 """
 
 from __future__ import annotations
@@ -45,6 +52,24 @@ def _series_color(i: int, n: int) -> str:
 def _fmt(v: float) -> str:
     """Compact coordinate formatting; keeps the SVG small and stable."""
     return f"{v:.2f}".rstrip("0").rstrip(".")
+
+
+def _fmt_all(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every value of a 1-D array, formatted in one pass."""
+    text = ("%.2f " * values.size) % tuple(values.tolist())
+    # Each value has exactly two decimals and ends at a space: strip its last
+    # zero ("1.50" -> "1.5", "1.00" -> "1.0"), then a lone ".0" ("1.0" -> "1").
+    return text.replace("0 ", " ").replace(".0 ", " ").split()
+
+
+def _to_pixels(v, lo: float, hi: float, start: float, span: float):
+    """Map ``v`` (a float or an array) from ``[lo, hi]`` onto ``start + [0, span]``.
+
+    Elementwise the same float operations in the same order for arrays and
+    for scalars, so an array maps bit-equal to its values one at a time.
+    ``lo > hi`` flips the axis, as the y axis needs.
+    """
+    return start + (v - lo) / (hi - lo) * span
 
 
 def _tick_label(v: float) -> str:
@@ -104,12 +129,8 @@ def render_line_chart(
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(v: float) -> float:
-        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(v: float) -> float:
-        return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
-
+    x_axis = (x_lo, x_hi, _MARGIN_LEFT, plot_w)
+    y_axis = (y_hi, y_lo, _MARGIN_TOP, plot_h)
     x_axis_y = _MARGIN_TOP + plot_h
     out: list[str] = []
     out.append(
@@ -146,8 +167,8 @@ def render_line_chart(
     )
 
     # Ticks and labels.
-    for v in np.linspace(x_lo, x_hi, _N_TICKS):
-        px = sx(float(v))
+    x_ticks = np.linspace(x_lo, x_hi, _N_TICKS)
+    for v, px in zip(x_ticks.tolist(), _to_pixels(x_ticks, *x_axis).tolist()):
         out.append(
             f'<line x1="{_fmt(px)}" y1="{_fmt(x_axis_y)}" x2="{_fmt(px)}" '
             f'y2="{_fmt(x_axis_y + 5)}" stroke="{_AXIS}" stroke-width="1"/>'
@@ -155,10 +176,10 @@ def render_line_chart(
         out.append(
             f'<text x="{_fmt(px)}" y="{_fmt(x_axis_y + 20)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="{_FG}">{escape(_tick_label(float(v)))}</text>'
+            f'fill="{_FG}">{escape(_tick_label(v))}</text>'
         )
-    for v in np.linspace(y_lo, y_hi, _N_TICKS):
-        py = sy(float(v))
+    y_ticks = np.linspace(y_lo, y_hi, _N_TICKS)
+    for v, py in zip(y_ticks.tolist(), _to_pixels(y_ticks, *y_axis).tolist()):
         out.append(
             f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(py)}" '
             f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(py)}" '
@@ -167,7 +188,7 @@ def render_line_chart(
         out.append(
             f'<text x="{_fmt(_MARGIN_LEFT - 9)}" y="{_fmt(py + 4)}" '
             f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="{_FG}">{escape(_tick_label(float(v)))}</text>'
+            f'fill="{_FG}">{escape(_tick_label(v))}</text>'
         )
     if x_label:
         out.append(
@@ -187,7 +208,7 @@ def render_line_chart(
 
     # Reference rule, drawn under the data.
     if hline is not None:
-        py = sy(float(hline))
+        py = _to_pixels(float(hline), *y_axis)
         out.append(
             f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '
             f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(py)}" '
@@ -196,22 +217,23 @@ def render_line_chart(
 
     out.append('<g clip-path="url(#plot-area)">')
     n = len(data)
+    shared_x = xs = None
     for i, (xa, ya) in enumerate(data):
         color = _series_color(i, n)
-        points = " ".join(
-            f"{_fmt(sx(float(px)))},{_fmt(sy(float(py)))}"
-            for px, py in zip(xa, ya)
-        )
+        # Spectra charts pass one grid for every series: format it once.
+        if shared_x is None or not np.array_equal(xa, shared_x):
+            shared_x, xs = xa, _fmt_all(_to_pixels(xa, *x_axis))
+        ys = _fmt_all(_to_pixels(ya, *y_axis))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
+            f'points="{" ".join(map(",".join, zip(xs, ys)))}"/>'
         )
         if markers:
-            for px, py in zip(xa, ya):
-                out.append(
-                    f'<circle cx="{_fmt(sx(float(px)))}" '
-                    f'cy="{_fmt(sy(float(py)))}" r="2.5" fill="{color}"/>'
-                )
+            out.extend(
+                f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>'
+                for px, py in zip(xs, ys)
+            )
     out.append("</g>")
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("")  # ends the document with a newline without copying it
+    return "\n".join(out)

@@ -35,10 +35,6 @@ class EmptyBandError(LumispecError):
     """Fewer than two samples fall inside the requested integration band."""
 
 
-class DegenerateDenominatorError(LumispecError):
-    """Band-ratio denominator integral is too close to zero."""
-
-
 class NonPositiveAucError(LumispecError):
     """A raw AUC value is zero or negative; the profile cannot be normalized."""
 

@@ -23,16 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateDenominatorError,
     EmptyBandError,
     LengthMismatchError,
     NonPositiveAucError,
     NonPositiveMaxError,
     NoSampleAboveCutoffError,
 )
-
-_DENOMINATOR_EPS = 1e-12
-
 
 def _frozen_array(values, name: str, max_ndim: int = 1) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -252,23 +248,3 @@ def profile_stats(p: AucProfile, threshold: float = 0.95) -> SweepStats:
         std_auc=float(v.std()),
         span95_deg=span,
     )
-
-
-def band_ratio(
-    s: Spectrum,
-    band_a: tuple[float, float] = (450.0, 500.0),
-    band_b: tuple[float, float] = (500.0, 570.0),
-) -> float:
-    """Ratio of band integrals of one spectrum, the tissue-signature discriminant.
-
-    Defaults split the emission range at 500 nm: band A captures the short
-    fluorophore peak, band B the long one. Raises
-    ``DegenerateDenominatorError`` when band B integrates to ~zero.
-    """
-    numerator = trapz_band(s.wavelengths_nm, s.intensities, *band_a)
-    denominator = trapz_band(s.wavelengths_nm, s.intensities, *band_b)
-    if denominator <= _DENOMINATOR_EPS:
-        raise DegenerateDenominatorError(
-            f"band {band_b} integral {denominator:g} is not above {_DENOMINATOR_EPS:g}"
-        )
-    return numerator / denominator

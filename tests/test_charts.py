@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lumispec.charts import render_line_chart
+from lumispec.charts import _autorange, _fmt, _fmt_all, _to_pixels, render_line_chart
+from lumispec.optics import WavelengthGrid
 
 X = np.linspace(0.0, 10.0, 25)
 
@@ -83,3 +84,73 @@ class TestRenderLineChart:
     def test_constant_series_autoranges(self):
         svg = render_line_chart([(X, np.full_like(X, 2.0))])
         ET.fromstring(svg)
+
+
+class TestBulkFormatting:
+    """``_fmt_all`` and ``_to_pixels`` must reproduce the per-point rule."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 2.999, 100.004, 0.0, 7.9951, 12.0],  # round to x.00
+            [1.1, 2.5, 0.104, 9.8999, 6.3, 700.2],  # round to x.x0
+            [-0.0, -0.001, -0.004999, -0.00499, 0.001],  # round to -0.00
+            [0.005, 0.015, 0.125, 1.005, 2.675, -2.675, 0.375],  # .005 ties
+            [1000.0, 1234.565, 99999.995, 1e6, -1000.004, 736.0],  # >= 1000
+        ],
+    )
+    def test_fmt_all_matches_fmt(self, values):
+        assert _fmt_all(np.array(values)) == [_fmt(v) for v in values]
+
+    def test_fmt_all_matches_fmt_random(self):
+        rng = np.random.default_rng(20231107)
+        values = np.concatenate(
+            [
+                rng.uniform(-50.0, 800.0, 40_000),
+                np.round(rng.uniform(-1500.0, 1500.0, 40_000), 3),  # many ties
+                rng.normal(0.0, 0.01, 20_000),  # many -0.00 and 0.00
+            ]
+        )
+        assert _fmt_all(values) == [_fmt(v) for v in values.tolist()]
+
+    def test_fmt_all_empty(self):
+        assert _fmt_all(np.array([])) == []
+
+    def test_x_pixels_bit_equal_to_scalar_formula(self):
+        grid = WavelengthGrid().values()
+        assert grid.size == 801
+        lo, hi, w = 400.0, 800.0, 672.0
+        scalar = np.array([64 + (v - lo) / (hi - lo) * w for v in grid.tolist()])
+        assert _to_pixels(grid, lo, hi, 64.0, w).tobytes() == scalar.tobytes()
+
+    def test_flipped_y_pixels_bit_equal_to_scalar_formula(self):
+        y = np.random.default_rng(3).uniform(-0.2, 1.3, 801)
+        (lo, hi), h = _autorange(y), 384.0
+        scalar = np.array([40 + (hi - v) / (hi - lo) * h for v in y.tolist()])
+        assert _to_pixels(y, hi, lo, 40.0, h).tobytes() == scalar.tobytes()
+        assert _to_pixels(float(y[5]), hi, lo, 40.0, h) == scalar[5]
+
+    def test_points_match_scalar_rule_per_series(self):
+        # Two series share one x array, a third has its own.
+        y1, y2, y3 = np.sin(X), np.cos(X), np.sin(2 * X)
+        x3 = X * 0.5 + 1.0
+        svg = render_line_chart(
+            [(X, y1), (X, y2), (x3, y3)], x_range=(-1.0, 11.0), markers=True
+        )
+        y_lo, y_hi = _autorange(np.concatenate([y1, y2, y3]))
+        root = ET.fromstring(svg)
+        ns = "{http://www.w3.org/2000/svg}"
+        polylines = [el.get("points") for el in root.iter(f"{ns}polyline")]
+        circles = [(el.get("cx"), el.get("cy")) for el in root.iter(f"{ns}circle")]
+        expected_pairs = []
+        for (xa, ya), got in zip([(X, y1), (X, y2), (x3, y3)], polylines):
+            pairs = [
+                (
+                    _fmt(64 + (px + 1.0) / 12.0 * 672.0),
+                    _fmt(40 + (y_hi - py) / (y_hi - y_lo) * 384.0),
+                )
+                for px, py in zip(xa.tolist(), ya.tolist())
+            ]
+            assert got == " ".join(f"{a},{b}" for a, b in pairs)
+            expected_pairs.extend(pairs)
+        assert circles == expected_pairs

@@ -5,6 +5,13 @@ included, must hash exactly as below. A change to the file formats, the
 forward model or numpy's Generator streams (NEP 19 lets them change between
 releases) fails here instead of silently changing published runs.
 
+The six SVG figures of those runs (three `export-svg --which` values each)
+are pinned the same way.
+
+A ``simulate --force`` that dies while writing any file of a run must leave
+a directory that does not read back as a run, and a clean rerun must then
+restore the pinned bytes.
+
 The values read back from those files are pinned too, as sha256 digests of
 the float64 bytes of the wavelength grid and of each trial's intensity
 stack, so a parser that is off by one ulp fails here even though the files
@@ -12,11 +19,14 @@ hash the same.
 """
 
 import hashlib
+import shutil
 
 import pytest
 
+from lumispec import dataio
 from lumispec.cli import SEED_ENV_VAR, main
 from lumispec.dataio import read_run
+from lumispec.errors import LumispecError
 
 GOLDEN = {
     "flat7": {
@@ -217,3 +227,89 @@ def test_seed7_default_run_parsed_values(name, capsys, tmp_path, monkeypatch):
         GOLDEN_VALUES[name]["grid"]
     ] * len(records)
     assert [_digest(r.spectra.intensities) for r in records] == GOLDEN_VALUES[name]["intensities"]
+
+
+GOLDEN_SVG = {
+    "flat7": {
+        "spectra": "b17cc5052ea2e7359730cb673d10565ce4eb5da0ad2f84c47df3cad18c9cbacf",
+        "spectra-smoothed": "c6ad1c067e130d3d5962010e14130ed1e05a5d64c5c685c9bd0def8122f61d4e",
+        "profile": "9dbce034aa16c0250afdebe7b69ddd014d58366dde43c820d4eb0d33449f1c20",
+    },
+    "convex7": {
+        "spectra": "9ccee2759cb8439fa4d7d10804a2806cd9f9bbbc15a9ead5dcc121437630a58f",
+        "spectra-smoothed": "75b793d9fd1a10ab406629bf07d9662616f064c84a9d6aa855028fb00cfb0466",
+        "profile": "2051d4d31122321433c07a24eda14a4fa69799f4cfe0c10aab6c6152880dc7ae",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SVG))
+def test_seed7_default_svg_digests(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    run = tmp_path / "run"
+    assert main(["simulate", *GOLDEN[name]["argv"], "--seed", "7", "--out", str(run)]) == 0
+    assert main(["analyze", "--run", str(run)]) == 0
+    digests = {}
+    for which in GOLDEN_SVG[name]:
+        source = ["--profile", str(run / "profile.csv")] if which == "profile" else ["--run", str(run)]
+        out = tmp_path / f"{which}.svg"
+        assert main(["export-svg", *source, "--which", which, "--out", str(out)]) == 0
+        digests[which] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == GOLDEN_SVG[name]
+
+
+class _Crash(Exception):
+    """Stands for the writing process dying before or in the middle of a file."""
+
+
+def test_crashed_force_never_reads_back_as_a_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    flat = tmp_path / "flat"
+    assert main(["simulate", *GOLDEN["flat7"]["argv"], "--seed", "7", "--out", str(flat)]) == 0
+    convex = ["simulate", *GOLDEN["convex7"]["argv"], "--seed", "7", "--force", "--out"]
+    pinned = {k: v for k, v in GOLDEN["convex7"]["files"].items() if k != "profile.csv"}
+    write_text = dataio._write_text
+    calls = []
+
+    def crash_on_call(k, half):
+        def crashing_write(path, text):
+            calls.append(path)
+            if len(calls) - 1 != k:
+                write_text(path, text)
+                return
+            if half:
+                write_text(path, text[: len(text) // 2])
+            raise _Crash(f"crash on write {k}")
+
+        calls.clear()
+        monkeypatch.setattr(dataio, "_write_text", crashing_write)
+
+    # No write has index -1: this run only counts the writes.
+    crash_on_call(-1, half=False)
+    shutil.copytree(flat, tmp_path / "count")
+    assert main([*convex, str(tmp_path / "count")]) == 0
+    n_writes = len(calls)
+    assert n_writes == len(pinned)
+
+    for k in range(n_writes):
+        # Half a file, or none of it: a crash between two files must not
+        # leave the old run's remaining files to complete the new one.
+        for half in (True, False):
+            run = tmp_path / f"crash{k}"
+            shutil.copytree(flat, run)
+            crash_on_call(k, half)
+            with pytest.raises(_Crash):
+                main([*convex, str(run)])
+            assert len(calls) == k + 1
+            with pytest.raises(LumispecError):
+                read_run(run)
+            if half:
+                monkeypatch.setattr(dataio, "_write_text", write_text)
+                assert main([*convex, str(run)]) == 0
+                digests = {
+                    p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()
+                }
+                assert digests == pinned, f"rerun after a crash on write {k}"
+            shutil.rmtree(run)
+    capsys.readouterr()

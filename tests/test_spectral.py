@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lumispec.errors import (
-    DegenerateDenominatorError,
     EmptyBandError,
     LengthMismatchError,
     NonPositiveAucError,
@@ -16,7 +15,6 @@ from lumispec.spectral import (
     PipelineConfig,
     Spectrum,
     auc_profile,
-    band_ratio,
     normalize_above_cutoff,
     profile_stats,
     run_pipeline,
@@ -28,7 +26,6 @@ from _oracles import gaussian_band_integral
 
 # Frozen oracle values (math.erf evaluation, see _oracles.py).
 GAUSS_525_30_BAND_INTEGRAL = 74.73188855848002
-NADH_460_30_BAND_RATIO = 5.921146011976301
 
 
 def grid(lo=400.0, hi=800.0, step=0.5):
@@ -338,31 +335,3 @@ class TestProfileStats:
         p = auc_profile([1.0, 1.0], [5.0, 6.0])
         with pytest.raises(ValueError):
             profile_stats(p)
-
-
-class TestBandRatio:
-    def test_symmetric_spectrum_gives_unity(self):
-        w = grid(440.0, 570.0, 0.5)
-        tri = np.clip(1.0 - np.abs(w - 500.0) / 40.0, 0.0, None)
-        s = spectrum(w, tri)
-        assert band_ratio(s) == pytest.approx(1.0, rel=1e-12)
-
-    def test_pure_gaussian_matches_erf_oracle(self):
-        w = grid()
-        s = spectrum(w, np.exp(-((w - 460.0) ** 2) / (2.0 * 30.0**2)))
-        oracle = gaussian_band_integral(
-            460.0, 30.0, 1.0, 450.0, 500.0
-        ) / gaussian_band_integral(460.0, 30.0, 1.0, 500.0, 570.0)
-        assert oracle == pytest.approx(NADH_460_30_BAND_RATIO, rel=1e-12)
-        assert band_ratio(s) == pytest.approx(oracle, rel=1e-3)
-
-    def test_zero_denominator(self):
-        w = grid(440.0, 600.0, 0.5)
-        i = np.where(w < 495.0, 1.0, 0.0)
-        with pytest.raises(DegenerateDenominatorError):
-            band_ratio(spectrum(w, i))
-
-    def test_empty_band(self):
-        s = spectrum([460.0, 470.0, 480.0], [1.0, 1.0, 1.0])
-        with pytest.raises(EmptyBandError):
-            band_ratio(s)
