@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import socket
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -249,13 +250,39 @@ def _format_meta_value(kind, value) -> str:
     return str(value)
 
 
+def _lock_is_stale(lock: Path) -> bool:
+    """True only if ``lock`` names a process of this host that has exited.
+
+    An empty, unreadable or foreign lock, a live pid, and any lock on a
+    non-POSIX system (where ``os.kill(pid, 0)`` is no probe) count as live.
+    """
+    if os.name != "posix":
+        return False
+    try:
+        owner = dict(line.split("=", 1) for line in lock.read_text(encoding="utf-8").splitlines())
+        pid, host = int(owner["pid"]), owner["host"]
+    except (OSError, ValueError, KeyError):
+        return False
+    if pid <= 0 or host != socket.gethostname():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # alive under another user, or no pid at all
+        pass
+    return False
+
+
 def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
     """Persist a full run (all trials) as a canonical run directory.
 
     All records must share one plan, one meta block and one wavelength
     grid, with distinct trial indices covering 0..trials-1. A best-effort
-    ``.lock`` file guards against concurrent writers; it is removed when
-    the write finishes.
+    ``.lock`` file, holding the writer's pid and host, guards against
+    concurrent writers; it is removed when the write finishes. A lock whose
+    writer died without removing it is broken (see :func:`_lock_is_stale`);
+    any other lock refuses the write.
     Files the layout owns from an earlier run (meta, manifest, profile and
     spectrum files) are removed first; any other file is left alone.
     """
@@ -285,6 +312,11 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
         raise DataIoError(f"cannot create run directory {out}: {exc}") from exc
 
     lock = out / LOCK_FILE
+    if _lock_is_stale(lock):
+        try:
+            lock.unlink(missing_ok=True)
+        except OSError as exc:
+            raise DataIoError(f"cannot remove stale lock file {lock}: {exc}") from exc
     try:
         lock_fh = open(lock, "x", encoding="utf-8")
     except FileExistsError:
@@ -295,7 +327,11 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
         raise DataIoError(f"cannot create lock file {lock}: {exc}") from exc
 
     try:
-        lock_fh.close()
+        try:
+            with lock_fh:
+                lock_fh.write(f"pid={os.getpid()}\nhost={socket.gethostname()}\n")
+        except OSError as exc:
+            raise DataIoError(f"cannot write lock file {lock}: {exc}") from exc
         for path in out.iterdir():
             if path.name in _LAYOUT_FILES or _SPECTRUM_NAME.fullmatch(path.name):
                 try:

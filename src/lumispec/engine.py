@@ -71,10 +71,6 @@ class SweepPlan:
     def angles(self) -> tuple[float, ...]:
         return tuple(self.angle(i) for i in range(self.n_steps))
 
-    @property
-    def end_deg(self) -> float:
-        return self.angle(self.n_steps - 1)
-
 
 def default_plan() -> SweepPlan:
     """The standard sweep: -18 to +18 deg in 1.8 deg steps, triplicate."""

@@ -11,10 +11,20 @@ exactly; a positive slope tilts the spectrum with angle and is the one free
 parameter that produces a normalized-AUC falloff. It is a calibrated
 surrogate for the device's defocus/specularity behavior, not asserted
 physics (see :mod:`lumispec.calibration`).
+
+Everything but the cosine power is independent of the angle, so the model
+is split once per :class:`OpticalConfig`: the grid, the base emission and
+the exponent k(lambda) are built on the config's first synthesis and kept
+as read-only arrays in a small cache keyed on the (frozen, hashable)
+config. Each acquisition then costs one ``cos(aoi) ** k``, one product and
+one noise draw, and its output is bit-identical to the per-call formula
+``base_emission(lam, cfg) * angular_attenuation(lam, aoi, cfg.angular)``
+plus ``noise_sigma`` times the draw.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,31 +178,55 @@ def base_emission(wavelength_nm, cfg: OpticalConfig):
     return float(out) if np.ndim(wavelength_nm) == 0 else out
 
 
+def _check_aoi(aoi_rad: float) -> None:
+    if not (0.0 <= aoi_rad < np.pi / 2.0):
+        raise AoiOutOfRangeError(
+            f"angle of incidence {aoi_rad:g} rad outside [0, pi/2)"
+        )
+
+
+def _exponent(lam: np.ndarray, kappa: float) -> np.ndarray:
+    return np.maximum(
+        1.0, 1.0 + kappa * (lam - _EXPONENT_ANCHOR_NM) / _EXPONENT_SPAN_NM
+    )
+
+
 def angular_attenuation(wavelength_nm, aoi_rad: float, a: AngularResponse):
     """cos(aoi) ** k(lambda) with k = max(1, 1 + kappa * (lambda - 450) / 300).
 
     Equals 1 at normal incidence for every wavelength and decreases
     monotonically in the angle of incidence.
     """
-    if not (0.0 <= aoi_rad < np.pi / 2.0):
-        raise AoiOutOfRangeError(
-            f"angle of incidence {aoi_rad:g} rad outside [0, pi/2)"
-        )
+    _check_aoi(aoi_rad)
     lam = np.asarray(wavelength_nm, dtype=float)
-    k = np.maximum(
-        1.0, 1.0 + a.kappa * (lam - _EXPONENT_ANCHOR_NM) / _EXPONENT_SPAN_NM
-    )
-    out = np.cos(aoi_rad) ** k
+    out = np.cos(aoi_rad) ** _exponent(lam, a.kappa)
     return float(out) if np.ndim(wavelength_nm) == 0 else out
+
+
+@functools.lru_cache(maxsize=16)
+def _forward_model(cfg: OpticalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angle-independent part of the model: (grid, base emission, k).
+
+    Configs that compare equal share one model, so the per-call formula's
+    bits hold for all but a zero baseline: after an equal config with
+    ``baseline=0.0``, ``baseline=-0.0`` yields +0.0 where it would give -0.0.
+    """
+    lam = cfg.grid.values()
+    model = (lam, base_emission(lam, cfg), _exponent(lam, cfg.angular.kappa))
+    for arr in model:
+        arr.setflags(write=False)
+    return model
 
 
 def synthesize_spectrum(cfg: OpticalConfig, aoi_rad: float, rng: Rng) -> Spectrum:
     """One simulated acquisition at the given angle of incidence.
 
     Deterministic for a fixed seed. Noise draws are taken even when
-    noise_sigma is zero so a config's draw count does not depend on it.
+    noise_sigma is zero so a config's draw count does not depend on it; an
+    out-of-range angle raises before any draw.
     """
-    lam = cfg.grid.values()
-    signal = base_emission(lam, cfg) * angular_attenuation(lam, aoi_rad, cfg.angular)
+    _check_aoi(aoi_rad)
+    lam, base, k = _forward_model(cfg)
+    signal = base * (np.cos(aoi_rad) ** k)
     noise = rng.standard_normal(lam.size)
     return Spectrum(lam, signal + cfg.noise_sigma * noise)

@@ -1,17 +1,27 @@
 """Unit tests for spectrum files and run directories.
 
 Round-trip fidelity, typed parse failures with file/line context, a corpus
-holding read_spectrum to the column loop it falls back to, and a seeded
+holding read_spectrum to the column loop it falls back to, a seeded
 fuzz loop asserting corrupt inputs never escape the package's own error
-hierarchy.
+hierarchy, and the run lock: it names its writer, a lock left by a killed
+writer is broken, and every other lock still refuses the write.
 """
 
+import hashlib
+import os
 import shutil
+import socket
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lumispec
+from lumispec import dataio
+from lumispec.cli import SEED_ENV_VAR, main
 from lumispec.dataio import (
     _SPECTRUM_CSV,
     MANIFEST_FILE,
@@ -45,6 +55,7 @@ from lumispec.errors import (
     SpectrumParseError,
 )
 from lumispec.spectral import Spectrum, run_pipeline
+from test_golden import GOLDEN
 
 
 def make_records(plan):
@@ -246,6 +257,104 @@ class TestRunRoundTrip:
         manifest.write_text("\n".join(lines) + "\n")
         back = read_run(small_run)
         assert back[0].entries[0][0] == small_plan.angle(0)
+
+
+# Runs `simulate` and dies, as a killed process does, on its 5th file write.
+_DYING_WRITER = """
+import os, sys
+from lumispec import cli, dataio
+write_text, calls = dataio._write_text, []
+def dying_write(path, text):
+    calls.append(path)
+    if len(calls) == 5:
+        os._exit(9)
+    write_text(path, text)
+dataio._write_text = dying_write
+cli.main(["simulate", "--geometry", "flat", "--seed", "7", "--out", sys.argv[1]])
+"""
+
+
+def _run_child(*args):
+    """Run a Python child process on this package; return it once reaped."""
+    env = dict(os.environ)
+    env.pop(SEED_ENV_VAR, None)
+    src = str(Path(lumispec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    child = subprocess.Popen([sys.executable, *args], env=env)
+    child.wait(timeout=60)
+    return child
+
+
+@pytest.fixture(scope="module")
+def dead_pid():
+    return _run_child("-c", "pass").pid
+
+
+def _lock_text(pid, host):
+    return f"pid={pid}\nhost={host}\n"
+
+
+class TestLockOwner:
+    def test_lock_names_its_writer(self, small_records, tmp_path, monkeypatch):
+        seen = []
+        write_text = dataio._write_text
+
+        def peeking_write(path, text):
+            seen.append((path.parent / ".lock").read_text(encoding="utf-8"))
+            write_text(path, text)
+
+        monkeypatch.setattr(dataio, "_write_text", peeking_write)
+        write_run(small_records, tmp_path / "run")
+        assert set(seen) == {_lock_text(os.getpid(), socket.gethostname())}
+        assert not (tmp_path / "run" / ".lock").exists()
+
+    @pytest.mark.skipif(os.name != "posix", reason="dead writers are detected on POSIX only")
+    def test_killed_writer_lock_broken_by_force(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        run = tmp_path / "run"
+        child = _run_child("-c", _DYING_WRITER, str(run))
+        assert child.returncode == 9
+        assert (run / ".lock").read_text(encoding="utf-8") == _lock_text(
+            child.pid, socket.gethostname()
+        )
+        argv = ["simulate", *GOLDEN["flat7"]["argv"], "--seed", "7", "--force", "--out", str(run)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        pinned = {k: v for k, v in GOLDEN["flat7"]["files"].items() if k != "profile.csv"}
+        assert {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()
+        } == pinned
+
+    @pytest.mark.skipif(os.name != "posix", reason="dead writers are detected on POSIX only")
+    def test_dead_writer_lock_on_this_host_is_broken(self, small_records, tmp_path, dead_pid):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / ".lock").write_text(_lock_text(dead_pid, socket.gethostname()))
+        write_run(small_records, run_dir)
+        assert not (run_dir / ".lock").exists()
+        assert len(read_run(run_dir)) == len(small_records)
+
+    @pytest.mark.parametrize(
+        "lock",
+        [
+            pytest.param("pid={live}\nhost={host}\n", id="live-pid"),
+            pytest.param("pid={dead}\nhost={host}-other\n", id="other-host"),
+            pytest.param("pid={dead}\n", id="no-host"),
+            pytest.param("pid=x\nhost={host}\n", id="bad-pid"),
+            pytest.param("pid=-{dead}\nhost={host}\n", id="negative-pid"),
+            pytest.param(f"pid={2**64}\nhost={{host}}\n", id="huge-pid"),
+            pytest.param("garbage", id="garbage"),
+        ],
+    )
+    def test_other_locks_still_refuse(self, small_records, tmp_path, dead_pid, lock):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        text = lock.format(live=os.getpid(), dead=dead_pid, host=socket.gethostname())
+        (run_dir / ".lock").write_text(text)
+        with pytest.raises(DataIoError, match="locked"):
+            write_run(small_records, run_dir)
+        assert (run_dir / ".lock").read_text() == text
+        assert [p.name for p in run_dir.iterdir()] == [".lock"]
 
 
 class TestWriteRunValidation:

