@@ -1,10 +1,11 @@
 """Unit tests for spectrum files and run directories.
 
 Round-trip fidelity, typed parse failures with file/line context, a corpus
-holding read_spectrum to the column loop it falls back to, a seeded
-fuzz loop asserting corrupt inputs never escape the package's own error
-hierarchy, and the run lock: it names its writer, a lock left by a killed
-writer is broken, and every other lock still refuses the write.
+holding read_spectrum to the column loop it falls back to and read_run to
+file-by-file reads through that loop, a seeded fuzz loop asserting corrupt
+inputs never escape the package's own error hierarchy, and the run lock:
+it names its writer, a lock left by a killed writer is broken, and every
+other lock still refuses the write.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from lumispec.dataio import (
     read_run,
     read_run_header,
     read_spectrum,
+    _decode_spectra,
     _parse_rows,
     spectrum_filename,
     write_profile,
@@ -702,6 +705,38 @@ def body(*rows):
     return HEADER + "".join(f"{row}\n" for row in rows)
 
 
+# Files in the exact form write_run writes, at the edges of what the
+# canonical decoder takes: |exponent - 9| <= 22 and wavelength cells of one
+# width with at most 15 digits.
+CANONICAL_EDGES = {
+    "negative-zero": ["400.000000,-0.000000000e+00", "400.500000,0.000000000e+00"],
+    "negatives": ["400.000000,-9.999999999e+31", "400.500000,-1.000000001e-13"],
+    "exponent-e+13": ["400.000000,1.234567891e+13", "400.500000,9.876543219e-13"],
+    "exponent-e+31": ["400.000000,9.999999999e+31", "400.500000,1.000000001e+31"],
+    "exponent-e-13": ["400.000000,1.000000001e-13", "400.500000,9.999999999e-13"],
+    "exponent-e-00": ["400.000000,5.000000000e-00", "400.500000,5.000000000e+00"],
+    "mantissa-leading-zero": ["400.000000,0.123456789e+05", "400.500000,0.000000001e-13"],
+    "wavelength-15-digits": ["123456789.000000,1.000000000e+00",
+                             "123456789.000001,2.000000000e+00"],
+    "wavelength-one-digit": ["1.000000,1.000000000e+00", "9.999999,2.000000000e+00"],
+}
+# Files the reference reads that the decoder leaves to it.
+NEAR_CANONICAL = {
+    "exponent-e+32": ["400.000000,1.234567891e+32", "400.500000,1.000000000e+00"],
+    "exponent-e-14": ["400.000000,1.234567891e-14", "400.500000,1.000000000e+00"],
+    "exponent-3-digits": ["400.000000,1.000000000e-100", "400.500000,1.000000000e+00"],
+    "capital-e": ["400.000000,1.0E+00", "400.500000,1.000000000E+00"],
+    "plus-mantissa": ["400.000000,+1.000000000e+00", "400.500000,1.000000000e+00"],
+    "grid-crossing-1000nm": ["999.500000,1.000000000e+00", "1000.000000,2.000000000e+00",
+                             "1000.500000,3.000000000e+00"],
+    "5-decimals": ["400.00000,1.000000000e+00", "400.50000,2.000000000e+00"],
+    "7-decimals": ["400.0000000,1.000000000e+00", "400.5000000,2.000000000e+00"],
+    "wavelength-16-digits": ["1234567890.000000,1.000000000e+00",
+                             "1234567890.000001,2.000000000e+00"],
+    "short-mantissa": ["400.000000,1.00000000e+00", "400.500000,1.000000000e+00"],
+}
+
+
 @pytest.mark.filterwarnings("error")
 class TestSpectrumParseEquivalence:
     """Every spectrum text reads as the column loop reads it, without warnings."""
@@ -743,9 +778,49 @@ class TestSpectrumParseEquivalence:
         pytest.param(body("400.0,1.0", "400.0,2.0"), id="duplicate-wavelength"),
         pytest.param(body("400.0,1.0", "401.0,2.0", "400.5,3.0"), id="decreasing-wavelength"),
         pytest.param(body("401.0,1.0", "400.0,x"), id="garbage-after-decrease"),
+        *(pytest.param(body(*rows), id=name) for name, rows in CANONICAL_EDGES.items()),
+        *(pytest.param(body(*rows), id=name) for name, rows in NEAR_CANONICAL.items()),
+        pytest.param(SPECTRUM_TEXT.replace("e+00\n", "e+00 \n"), id="trailing-space"),
+        pytest.param(body("400.000000,1.000000000e,00", "400.500000,1.000000000e+00"),
+                     id="comma-for-exponent-sign"),
+        pytest.param(body("400.0000000-1.000000000e+00", "400.500000,1.000000000e+00"),
+                     id="minus-for-comma"),
     ])
     def test_named_case(self, text, tmp_path):
         assert_reads_like_reference(text, tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_EDGES))
+    def test_canonical_edges_are_decoded(self, name):
+        assert _decode_spectra([body(*CANONICAL_EDGES[name]).encode()]) is not None
+
+    @pytest.mark.parametrize("text", [
+        *(pytest.param(body(*rows), id=name) for name, rows in NEAR_CANONICAL.items()),
+        pytest.param(SPECTRUM_TEXT.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(SPECTRUM_TEXT.rstrip("\n"), id="no-final-newline"),
+        pytest.param(SPECTRUM_TEXT.replace("e+00\n", "e+00 \n"), id="trailing-space"),
+    ])
+    def test_other_forms_are_left_to_the_reference(self, text):
+        assert _decode_spectra([text.encode()]) is None
+
+    def test_random_tokens_decode_like_float(self):
+        """Every in-range ``%.9e`` token, random digits included, decodes to
+        the bits ``float()`` gives."""
+        rng = np.random.default_rng(8)
+        n = 20_000
+        digits = rng.integers(0, 10, size=(n, 10))
+        exponents = rng.integers(-13, 32, size=n)
+        signs = rng.choice(["", "-"], size=n)
+        tokens = [
+            f"{sign}{d[0]}.{''.join(map(str, d[1:]))}e{e:+03d}"
+            for sign, d, e in zip(signs, digits, exponents)
+        ]
+        grid = [f"{400 + i / 1000:.6f}" for i in range(n)]
+        text = HEADER + "".join(f"{w},{t}\n" for w, t in zip(grid, tokens))
+        decoded = _decode_spectra([text.encode()])
+        assert decoded is not None
+        wavelengths, (intensities,) = decoded
+        assert wavelengths.tobytes() == np.array([float(w) for w in grid]).tobytes()
+        assert intensities.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
     def test_seeded_mutations(self, tmp_path):
         rng = np.random.default_rng(20261018)
@@ -773,6 +848,171 @@ class TestSpectrumParseEquivalence:
             accepted += assert_reads_like_reference("".join(text), tmp_path / f"m{case}.csv")
         # Both outcomes must be well represented for the corpus to mean much.
         assert 20 <= accepted <= 220
+
+    def test_byte_mutations_of_a_written_file(self, tmp_path):
+        """Flip a bit of, insert or delete one byte of a written 801-line
+        file: the decoder takes what it can, the reference the rest."""
+        rng = np.random.default_rng(801)
+        grid = np.linspace(400.0, 800.0, 801)
+        intensities = rng.standard_normal(801) * 10.0 ** rng.integers(-8, 25, size=801)
+        write_spectrum(Spectrum(grid, intensities), tmp_path / "written.csv")
+        written = (tmp_path / "written.csv").read_bytes()
+        alphabet = b"0123456789.,-+eE \t\n\r"
+        accepted = decoded = 0
+        for case in range(360):
+            data = bytearray(written)
+            op, pos = case % 3, int(rng.integers(len(data)))
+            if op == 0:  # flip one of the low 7 bits, so the file stays ASCII
+                data[pos] ^= 1 << int(rng.integers(7))
+            elif op == 1:
+                data.insert(pos, alphabet[rng.integers(len(alphabet))])
+            else:
+                del data[pos]
+            decoded += _decode_spectra([bytes(data)]) is not None
+            accepted += assert_reads_like_reference(data.decode("ascii"), tmp_path / f"b{case}.csv")
+        # Both outcomes, and both readers, must be well represented.
+        assert 20 <= decoded <= accepted <= 300
+
+
+def reference_read_run(run_dir):
+    """The spectra of a run read file by file through the column loop:
+    ``(grid, intensities)`` with one row per file in trial, step order."""
+    plan, _ = read_run_header(run_dir)
+    grid, rows = None, []
+    for trial in range(plan.trials):
+        for step in range(plan.n_steps):
+            name = spectrum_filename(trial, step)
+            try:
+                text = dataio._read_text(run_dir / name, "spectrum file")
+                wavelengths, intensities = reference_read_spectrum(text)
+            except LumispecError as exc:
+                raise type(exc)(f"{name}: {exc}", line=exc.line) from exc
+            if grid is None:
+                grid = wavelengths
+            elif not np.array_equal(wavelengths, grid):
+                raise LayoutError(f"{name}: wavelength grid differs from t0_s00.csv")
+            rows.append(intensities)
+    return grid, np.array(rows)
+
+
+def assert_run_reads_like_reference(run_dir):
+    """read_run accepts exactly the runs the per-file reference accepts,
+    with the same float64 bits, and fails with the same type, message and
+    line."""
+    try:
+        grid, intensities = reference_read_run(run_dir)
+    except LumispecError as expected:
+        with pytest.raises(LumispecError) as info:
+            read_run(run_dir)
+        got = info.value
+        assert (type(got), str(got), got.line) == (type(expected), str(expected), expected.line)
+        return expected
+    records = read_run(run_dir)
+    for record in records:
+        assert record.spectra.wavelengths_nm.tobytes() == grid.tobytes()
+    got = np.concatenate([record.spectra.intensities for record in records])
+    assert got.tobytes() == intensities.tobytes()
+    return None
+
+
+def simulate_run(run_dir, *argv):
+    assert main(["simulate", "--seed", "7", *argv, "--out", str(run_dir)]) == 0
+    return run_dir
+
+
+WIDE_PLAN_ARGV = ["--geometry", "flat", "--n-steps", "61", "--step-deg", "0.6"]
+
+
+# The files of the last chunk that read_run decodes in a 3x21 run.
+FLAT_NAMES = [spectrum_filename(t, s) for t in range(3) for s in range(21)]
+LAST_CHUNK = FLAT_NAMES[(len(FLAT_NAMES) - 1) // dataio._CHUNK_FILES * dataio._CHUNK_FILES:]
+
+
+def rewrite_rows(path, fn):
+    """Rewrite the data rows of a spectrum file, keeping its header."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *fn(rows)]) + "\n", encoding="utf-8")
+
+
+def one_decimal(path):
+    cells = [row.split(",") for row in path.read_text(encoding="utf-8").splitlines()[1:]]
+    rewrite_rows(path, lambda _: [f"{float(w):.1f},{float(y):.4f}" for w, y in cells])
+
+
+def bad_cell_on_line_40(path):
+    rewrite_rows(path, lambda rows: [*rows[:38], rows[38].split(",")[0] + ",1.0x0e+00",
+                                     *rows[39:]])
+
+
+def off_grid(path):
+    s = read_spectrum(path)
+    write_spectrum(Spectrum(s.wavelengths_nm + 0.25, s.intensities), path)
+
+
+def not_utf8(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:500] + b"\xff" + data[500:])
+
+
+@pytest.mark.filterwarnings("error")
+class TestReadRunEquivalence:
+    """read_run, which decodes files in chunks, reads every run as the
+    per-file column loop reads it."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(GOLDEN["flat7"]["argv"], id="flat7"),
+        pytest.param(GOLDEN["convex7"]["argv"], id="convex7"),
+        pytest.param(WIDE_PLAN_ARGV, id="flat7-3x61"),
+    ])
+    def test_written_runs(self, argv, tmp_path):
+        assert assert_run_reads_like_reference(simulate_run(tmp_path / "run", *argv)) is None
+
+    def test_valid_file_in_another_form_is_accepted(self, tmp_path):
+        run = simulate_run(tmp_path / "run", "--geometry", "flat")
+        one_decimal(run / "t1_s05.csv")
+        assert _decode_spectra([(run / "t1_s05.csv").read_bytes()]) is None
+        assert assert_run_reads_like_reference(run) is None
+
+    @pytest.mark.parametrize("edits, error, message", [
+        pytest.param({"t2_s13.csv": bad_cell_on_line_40}, SpectrumParseError,
+                     "t2_s13.csv: line 40: could not convert string to float: '1.0x0e+00'",
+                     id="bad-cell"),
+        pytest.param({"t1_s07.csv": off_grid}, LayoutError,
+                     "t1_s07.csv: wavelength grid differs from t0_s00.csv", id="off-grid"),
+        pytest.param({"t0_s17.csv": not_utf8}, DataIoError,
+                     "t0_s17.csv: cannot read spectrum file ", id="not-utf8"),
+        pytest.param(dict.fromkeys(LAST_CHUNK, off_grid), LayoutError,
+                     f"{LAST_CHUNK[0]}: wavelength grid differs from t0_s00.csv",
+                     id="off-grid-chunk"),
+        pytest.param({"t2_s13.csv": bad_cell_on_line_40, "t1_s07.csv": off_grid},
+                     LayoutError, "t1_s07.csv: wavelength grid differs", id="first-error-wins"),
+    ])
+    def test_bad_runs(self, edits, error, message, tmp_path):
+        run = simulate_run(tmp_path / "run", "--geometry", "flat")
+        for name, edit in edits.items():
+            edit(run / name)
+        expected = assert_run_reads_like_reference(run)
+        assert type(expected) is error and str(expected).startswith(message)
+
+    def test_lines_are_counted_per_file(self):
+        """Two files whose lines, run together, repeat one grid are still two
+        files: the first goes back to 400.0, the second has one sample."""
+        first = body("400.000000,1.000000000e+00", "400.500000,2.000000000e+00",
+                     "400.000000,3.000000000e+00")
+        second = body("400.500000,4.000000000e+00")
+        assert _decode_spectra([first.encode(), second.encode()]) is None
+
+    def test_memory_peak_of_a_wide_run(self, tmp_path):
+        """The chunks stream: a 3x61 run (1.2 MB of float64 intensities,
+        held twice while records are built) peaks under 4 MB."""
+        run = simulate_run(tmp_path / "run", *WIDE_PLAN_ARGV)
+        tracemalloc.start()
+        try:
+            read_run(run)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestFuzz:
