@@ -20,7 +20,7 @@ import numpy as np
 from . import dataio
 from .charts import render_line_chart
 from .engine import AcquisitionPort, SimulatedPort, SweepPlan, run_triplicate
-from .errors import DataIoError, LayoutError, LumispecError
+from .errors import DataIoError, LayoutError, LumispecError, NonPositiveAucError
 from .geometry import FlatSurface, PivotGeometry, SphereSurface, SurfaceModel
 from .optics import AngularResponse, OpticalConfig
 from .spectral import (
@@ -208,16 +208,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             message = f"trial {record.trial_index}, angle {angle:+.1f} deg: {exc}"
             raise type(exc)(message) from exc
     raw = np.asarray(raw)
-
-    if args.pooling == "per-trial":
-        # Each trial normalized by its own max, cancelling any per-trial gain.
-        norm = np.vstack(
-            [auc_profile(row, angles).auc_norm for row in raw]
+    bad = np.argwhere(~((raw > 0) & np.isfinite(raw)))
+    if bad.size:
+        t, step = bad[0]
+        raise NonPositiveAucError(
+            f"trial {records[t].trial_index}, angle {angles[step]:+.1f} deg: "
+            f"raw AUC {raw[t, step]:g} is not positive and finite"
         )
-    else:
-        if not (np.all(np.isfinite(raw)) and raw.max() > 0):
-            raise DataIoError("pooled normalization needs positive finite AUCs")
-        norm = raw / raw.max()
+    # Per trial, each trial by its own max (cancelling any per-trial gain);
+    # pooled, all trials by one max.
+    axis = 1 if args.pooling == "per-trial" else None
+    norm = raw / raw.max(axis=axis, keepdims=True)
 
     mean = norm.mean(axis=0)
     std = norm.std(axis=0)

@@ -1,8 +1,12 @@
 """Forward synthesis of emission spectra.
 
-The emission model is deliberately small: Gaussian fluorophore lines on a
-flat baseline, multiplied by a logistic dichroic transmittance edge, then by
-an angle-of-incidence attenuation, plus seeded Gaussian instrument noise.
+The model describes one scanner, with its optics fixed: two Gaussian
+emission lines (NADH at 460 nm, FAD at 525 nm) multiplied by a logistic
+dichroic transmittance edge at 450 nm, sampled on a 400-800 nm grid in
+0.5 nm steps, then by an angle-of-incidence attenuation, plus seeded
+Gaussian instrument noise. Its only settings, the attenuation slope
+kappa and the noise sigma, are the two that a run's meta.txt records, so a
+run directory holds everything needed to synthesize it again.
 
 The attenuation is a chromatic cosine power, ``cos(aoi) ** k(lambda)`` with
 ``k`` rising linearly across the emission band. With slope 0 it degenerates
@@ -12,14 +16,13 @@ parameter that produces a normalized-AUC falloff. It is a calibrated
 surrogate for the device's defocus/specularity behavior, not asserted
 physics (see :mod:`lumispec.calibration`).
 
-Everything but the cosine power is independent of the angle, so the model
-is split once per :class:`OpticalConfig`: the grid, the base emission and
-the exponent k(lambda) are built on the config's first synthesis and kept
-as read-only arrays in a small cache keyed on the (frozen, hashable)
-config. Each acquisition then costs one ``cos(aoi) ** k``, one product and
-one noise draw, and its output is bit-identical to the per-call formula
-``base_emission(lam, cfg) * angular_attenuation(lam, aoi, cfg.angular)``
-plus ``noise_sigma`` times the draw.
+Everything but the cosine power is independent of the angle: the grid and
+the base emission are built once at import, and the exponent k(lambda) once
+per kappa, all as read-only arrays. Each acquisition then costs one
+``cos(aoi) ** k``, one product and one noise draw, and its output is
+bit-identical to the per-call formula
+``base_emission(lam) * angular_attenuation(lam, aoi, cfg.angular)`` plus
+``noise_sigma`` times the draw.
 """
 
 from __future__ import annotations
@@ -45,44 +48,16 @@ DEFAULT_NOISE_SIGMA = 0.01
 _EXPONENT_ANCHOR_NM = 450.0
 _EXPONENT_SPAN_NM = 300.0
 
+# Emission lines as (center_nm, sigma_nm, amplitude): a dominant NADH peak
+# at 460 nm and a weaker FAD peak at 525 nm. Widths are set so the 460 nm
+# line is the global maximum above the 450 nm cutoff (broader lines merge
+# into a single hump peaking between the centers, which would break the
+# normalization convention).
+_LINES = ((460.0, 15.0, 1.0), (525.0, 20.0, 0.8))
 
-@dataclass(frozen=True)
-class Fluorophore:
-    """One Gaussian emission line."""
-
-    name: str
-    center_nm: float
-    sigma_nm: float
-    amplitude: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma_nm > 0:
-            raise ValueError("sigma_nm must be positive")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
-        if not np.isfinite(self.center_nm):
-            raise ValueError("center_nm must be finite")
-
-
-# Default two-fluorophore signature: a dominant short peak at 460 nm and a
-# weaker long peak at 525 nm. Widths are set so the 460 nm line is the global
-# maximum above the 450 nm cutoff (broader lines merge into a single hump
-# peaking between the centers, which would break the normalization
-# convention).
-NADH_DEFAULT = Fluorophore("NADH", center_nm=460.0, sigma_nm=15.0, amplitude=1.0)
-FAD_DEFAULT = Fluorophore("FAD", center_nm=525.0, sigma_nm=20.0, amplitude=0.8)
-
-
-@dataclass(frozen=True)
-class DichroicCurve:
-    """Logistic transmittance edge of the dichroic mirror."""
-
-    cutoff_nm: float = 450.0
-    transition_width_nm: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.transition_width_nm > 0:
-            raise ValueError("transition_width_nm must be positive")
+# Logistic transmittance edge of the dichroic mirror.
+_DICHROIC_CUTOFF_NM = 450.0
+_DICHROIC_WIDTH_NM = 2.0
 
 
 @dataclass(frozen=True)
@@ -97,46 +72,15 @@ class AngularResponse:
 
 
 @dataclass(frozen=True)
-class WavelengthGrid:
-    """Uniform instrument wavelength grid; samples are lo + i * step."""
-
-    lo_nm: float = 400.0
-    hi_nm: float = 800.0
-    step_nm: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not self.step_nm > 0:
-            raise ValueError("step_nm must be positive")
-        if not self.lo_nm < self.hi_nm:
-            raise ValueError("lo_nm must be below hi_nm")
-
-    @property
-    def n_points(self) -> int:
-        return int(round((self.hi_nm - self.lo_nm) / self.step_nm)) + 1
-
-    def values(self) -> np.ndarray:
-        # Index arithmetic, not accumulation: keeps grid values bit-stable.
-        return self.lo_nm + np.arange(self.n_points) * self.step_nm
-
-
-@dataclass(frozen=True)
 class OpticalConfig:
-    """Everything the forward model needs to synthesize one spectrum."""
+    """The settings of the forward model; a run's meta.txt records both."""
 
-    fluorophores: tuple[Fluorophore, ...] = (NADH_DEFAULT, FAD_DEFAULT)
-    dichroic: DichroicCurve = DichroicCurve()
     angular: AngularResponse = AngularResponse()
     noise_sigma: float = DEFAULT_NOISE_SIGMA
-    baseline: float = 0.0
-    grid: WavelengthGrid = WavelengthGrid()
 
     def __post_init__(self) -> None:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
-        if self.baseline < 0:
-            raise ValueError("baseline must be non-negative")
-        if self.grid.lo_nm > 450.0 or self.grid.hi_nm < 750.0:
-            raise ValueError("grid must cover the 450-750 nm integration band")
 
 
 class Rng:
@@ -155,26 +99,22 @@ class Rng:
         return self._gen.standard_normal(n)
 
 
-def dichroic_transmittance(wavelength_nm, d: DichroicCurve):
+def dichroic_transmittance(wavelength_nm):
     """Transmittance in [0, 1], monotone increasing, exactly 0.5 at the cutoff.
 
     Implemented via tanh for overflow-free evaluation far below the edge.
     """
     lam = np.asarray(wavelength_nm, dtype=float)
-    x = (lam - d.cutoff_nm) / d.transition_width_nm
+    x = (lam - _DICHROIC_CUTOFF_NM) / _DICHROIC_WIDTH_NM
     t = 0.5 * (1.0 + np.tanh(0.5 * x))
     return float(t) if np.ndim(wavelength_nm) == 0 else t
 
 
-def base_emission(wavelength_nm, cfg: OpticalConfig):
-    """Angle-independent emission: Gaussian lines plus baseline, times dichroic."""
+def base_emission(wavelength_nm):
+    """Angle-independent emission: the two Gaussian lines times the dichroic."""
     lam = np.asarray(wavelength_nm, dtype=float)
-    total = np.full(lam.shape, float(cfg.baseline))
-    for f in cfg.fluorophores:
-        total = total + f.amplitude * np.exp(
-            -((lam - f.center_nm) ** 2) / (2.0 * f.sigma_nm**2)
-        )
-    out = total * dichroic_transmittance(lam, cfg.dichroic)
+    lines = sum(a * np.exp(-((lam - c) ** 2) / (2.0 * s**2)) for c, s, a in _LINES)
+    out = lines * dichroic_transmittance(lam)
     return float(out) if np.ndim(wavelength_nm) == 0 else out
 
 
@@ -203,19 +143,21 @@ def angular_attenuation(wavelength_nm, aoi_rad: float, a: AngularResponse):
     return float(out) if np.ndim(wavelength_nm) == 0 else out
 
 
-@functools.lru_cache(maxsize=16)
-def _forward_model(cfg: OpticalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The angle-independent part of the model: (grid, base emission, k).
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-    Configs that compare equal share one model, so the per-call formula's
-    bits hold for all but a zero baseline: after an equal config with
-    ``baseline=0.0``, ``baseline=-0.0`` yields +0.0 where it would give -0.0.
-    """
-    lam = cfg.grid.values()
-    model = (lam, base_emission(lam, cfg), _exponent(lam, cfg.angular.kappa))
-    for arr in model:
-        arr.setflags(write=False)
-    return model
+
+# The grid by index arithmetic, not accumulation, so its values are
+# bit-stable; and the base emission on it.
+_GRID_NM = _read_only(400.0 + np.arange(801) * 0.5)
+_BASE_EMISSION = _read_only(base_emission(_GRID_NM))
+
+
+@functools.lru_cache(maxsize=16)
+def _exponent_on_grid(kappa: float) -> np.ndarray:
+    """k(lambda) on the grid, built once per kappa."""
+    return _read_only(_exponent(_GRID_NM, kappa))
 
 
 def synthesize_spectrum(cfg: OpticalConfig, aoi_rad: float, rng: Rng) -> Spectrum:
@@ -226,7 +168,7 @@ def synthesize_spectrum(cfg: OpticalConfig, aoi_rad: float, rng: Rng) -> Spectru
     out-of-range angle raises before any draw.
     """
     _check_aoi(aoi_rad)
-    lam, base, k = _forward_model(cfg)
-    signal = base * (np.cos(aoi_rad) ** k)
-    noise = rng.standard_normal(lam.size)
-    return Spectrum(lam, signal + cfg.noise_sigma * noise)
+    k = _exponent_on_grid(cfg.angular.kappa)
+    signal = _BASE_EMISSION * (np.cos(aoi_rad) ** k)
+    noise = rng.standard_normal(_GRID_NM.size)
+    return Spectrum(_GRID_NM, signal + cfg.noise_sigma * noise)

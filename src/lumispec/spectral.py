@@ -115,9 +115,6 @@ class AucProfile:
         object.__setattr__(self, "auc_raw", raw)
         object.__setattr__(self, "auc_norm", norm)
 
-    def __len__(self) -> int:
-        return int(self.angles_deg.size)
-
 
 @dataclass(frozen=True)
 class SweepStats:

@@ -140,6 +140,13 @@ class TestSimulate:
         rc, _, _ = simulate_flat(capsys, tmp_path / "run")
         assert rc == 2
 
+    def test_env_seed_negative(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-3")
+        rc, _, err = simulate_flat(capsys, tmp_path / "run")
+        assert rc == 2
+        assert f"${SEED_ENV_VAR} must be >= 0, got -3" in err
+        assert not (tmp_path / "run").exists()
+
     def test_explicit_seed_beats_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
         out = tmp_path / "run"
@@ -225,6 +232,21 @@ class TestAnalyze:
         rc, _, err = run_cli(capsys, "analyze", "--run", str(out))
         assert rc == 1
         assert err.startswith("error: trial 1, angle -9.0 deg: max intensity above 450 nm")
+
+    @pytest.mark.parametrize("pooling", ["per-trial", "pooled"])
+    def test_non_positive_auc_names_trial_and_angle(self, capsys, tmp_path, pooling):
+        # Near the top of the grid the signal is noise about zero, so the
+        # first trial's first step already integrates to a negative AUC.
+        out = tmp_path / "run"
+        simulate_flat(capsys, out, "--seed", "7")
+        rc, _, err = run_cli(
+            capsys, "analyze", "--run", str(out),
+            "--auc-lo", "790", "--auc-hi", "800", "--pooling", pooling,
+        )
+        assert rc == 1
+        assert err.startswith("error: trial 0, angle -18.0 deg: raw AUC -")
+        assert "is not positive and finite" in err
+        assert not (out / "profile.csv").exists()
 
     def test_custom_band(self, capsys, tmp_path):
         out = tmp_path / "run"
@@ -378,6 +400,16 @@ class TestExportSvg:
         )
         assert rc == 1
         assert "--profile" in err
+
+    def test_out_in_missing_directory(self, capsys, tmp_path, flat_run):
+        svg = tmp_path / "no-such-dir" / "x.svg"
+        rc, _, err = run_cli(
+            capsys, "export-svg", "--profile", str(flat_run / "profile.csv"),
+            "--which", "profile", "--out", str(svg),
+        )
+        assert rc == 1
+        assert f"error: cannot write SVG {svg}:" in err
+        assert not svg.parent.exists()
 
     def test_missing_out_flag(self, capsys, flat_run):
         rc, _, _ = run_cli(

@@ -57,6 +57,8 @@ from lumispec.errors import (
     NonMonotonicWavelengthError,
     SpectrumParseError,
 )
+from lumispec.geometry import FlatSurface, PivotGeometry, SphereSurface
+from lumispec.optics import AngularResponse, OpticalConfig
 from lumispec.spectral import Spectrum, run_pipeline
 from test_golden import GOLDEN
 
@@ -234,6 +236,36 @@ class TestRunRoundTrip:
         assert names == sorted(p.name for p in dir_b.iterdir())
         for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_rebuilt_from_meta_reproduces_every_byte(self, tmp_path):
+        # meta.txt is the whole recipe of a run: every non-default setting it
+        # records must come back, and nothing it does not record may matter.
+        config = OpticalConfig(angular=AngularResponse(kappa=2.718281828459045), noise_sigma=0.03)
+        pivot = PivotGeometry(working_distance_mm=21.5)
+        surface = SphereSurface(radius_mm=40.0)
+        plan = SweepPlan(start_deg=-12.0, step_deg=2.4, n_steps=11, trials=2)
+        original = tmp_path / "original"
+        write_run(run_triplicate(
+            plan, lambda t, seed: SimulatedPort(config, pivot, surface, seed), master_seed=1234
+        ), original)
+
+        plan, meta = read_run_header(original)
+        assert (meta.kappa, meta.noise_sigma) == (2.718281828459045, 0.03)
+        assert (meta.working_distance_mm, meta.sphere_radius_mm) == (21.5, 40.0)
+        config = OpticalConfig(angular=AngularResponse(meta.kappa), noise_sigma=meta.noise_sigma)
+        pivot = PivotGeometry(meta.working_distance_mm)
+        surface = (
+            SphereSurface(meta.sphere_radius_mm) if meta.geometry == "convex" else FlatSurface()
+        )
+        rebuilt = tmp_path / "rebuilt"
+        write_run(run_triplicate(
+            plan, lambda t, seed: SimulatedPort(config, pivot, surface, seed), meta.seed
+        ), rebuilt)
+        names = sorted(p.name for p in original.iterdir())
+        assert names == sorted(p.name for p in rebuilt.iterdir())
+        assert len(names) == 2 + 2 * 11
+        for name in names:
+            assert (rebuilt / name).read_bytes() == (original / name).read_bytes(), name
 
     def test_lf_endings(self, small_run):
         for path in small_run.iterdir():

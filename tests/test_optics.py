@@ -1,9 +1,11 @@
 """Unit tests for the forward optical model and its noise behavior.
 
-The per-config model cache is held to the per-call formula bit for bit, on
-the aoi sets of the default flat and convex (R = 25 mm) sweeps.
+The prebuilt grid, base emission and per-kappa exponent are held to the
+per-call formula bit for bit, on the aoi sets of the default flat and convex
+(R = 25 mm) sweeps.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,14 +15,13 @@ from lumispec.engine import default_plan, derive_trial_seed
 from lumispec.errors import AoiOutOfRangeError
 from lumispec.geometry import FlatSurface, PivotGeometry, SphereSurface, solve_incidence
 from lumispec.optics import (
-    _forward_model,
+    _BASE_EMISSION,
+    _GRID_NM,
+    _exponent_on_grid,
     DEFAULT_KAPPA,
     AngularResponse,
-    DichroicCurve,
-    Fluorophore,
     OpticalConfig,
     Rng,
-    WavelengthGrid,
     angular_attenuation,
     base_emission,
     dichroic_transmittance,
@@ -28,93 +29,83 @@ from lumispec.optics import (
 )
 from lumispec.spectral import run_pipeline
 
+# The instrument grid as the model promises it: 400 + i * 0.5 nm, i < 801.
+GRID_NM = 400.0 + np.arange(801) * 0.5
+
 
 class TestTypes:
-    def test_fluorophore_validation(self):
-        with pytest.raises(ValueError):
-            Fluorophore("x", center_nm=500.0, sigma_nm=0.0, amplitude=1.0)
-        with pytest.raises(ValueError):
-            Fluorophore("x", center_nm=500.0, sigma_nm=10.0, amplitude=-0.1)
-
-    def test_dichroic_validation(self):
-        with pytest.raises(ValueError):
-            DichroicCurve(cutoff_nm=450.0, transition_width_nm=0.0)
-
     def test_angular_validation(self):
         with pytest.raises(ValueError):
             AngularResponse(kappa=-1.0)
         assert AngularResponse(kappa=0.0).kappa == 0.0
 
+    def test_config_has_only_the_recorded_settings(self):
+        # Exactly the two settings a run's meta.txt records (kappa, noise_sigma).
+        assert [f.name for f in dataclasses.fields(OpticalConfig)] == ["angular", "noise_sigma"]
+        with pytest.raises(ValueError):
+            OpticalConfig(noise_sigma=-0.01)
+
     def test_grid_values_by_index(self):
-        g = WavelengthGrid(400.0, 800.0, 0.5)
-        v = g.values()
+        v = synthesize_spectrum(OpticalConfig(), 0.0, Rng(0)).wavelengths_nm
+        assert v.tobytes() == GRID_NM.tobytes()
         assert v.size == 801
         assert v[0] == 400.0
         assert v[-1] == 800.0
         assert v[100] == 450.0
 
-    def test_config_grid_must_cover_band(self):
-        with pytest.raises(ValueError):
-            OpticalConfig(grid=WavelengthGrid(500.0, 800.0, 0.5))
-
 
 class TestDichroicTransmittance:
     def test_midpoint_at_cutoff(self):
-        assert dichroic_transmittance(450.0, DichroicCurve()) == 0.5
+        assert dichroic_transmittance(450.0) == 0.5
 
     def test_excitation_blocked(self):
-        assert dichroic_transmittance(405.0, DichroicCurve()) < 1e-9
+        assert dichroic_transmittance(405.0) < 1e-9
 
     def test_passband_open(self):
-        assert dichroic_transmittance(470.0, DichroicCurve()) > 0.9999
+        assert dichroic_transmittance(470.0) > 0.9999
 
     def test_monotone_and_bounded(self):
         w = np.linspace(350.0, 850.0, 2001)
-        t = dichroic_transmittance(w, DichroicCurve())
+        t = dichroic_transmittance(w)
         # Non-decreasing everywhere; float saturation flattens the far tails,
         # so strictness is only checkable through the transition region.
         assert np.all(np.diff(t) >= 0.0)
         assert t.min() >= 0.0 and t.max() <= 1.0
         w_mid = np.linspace(430.0, 470.0, 401)
-        assert np.all(np.diff(dichroic_transmittance(w_mid, DichroicCurve())) > 0.0)
+        assert np.all(np.diff(dichroic_transmittance(w_mid)) > 0.0)
 
     def test_matches_logistic_form(self):
-        d = DichroicCurve(cutoff_nm=450.0, transition_width_nm=2.0)
+        # Cutoff 450 nm, transition width 2 nm.
         for lam in (445.0, 449.0, 451.0, 455.0, 470.0):
             expected = 1.0 / (1.0 + math.exp(-(lam - 450.0) / 2.0))
-            assert dichroic_transmittance(lam, d) == pytest.approx(expected, rel=1e-12)
+            assert dichroic_transmittance(lam) == pytest.approx(expected, rel=1e-12)
+
+
+def two_line_emission(lam):
+    """NADH (460 nm, sigma 15, amplitude 1) plus FAD (525 nm, sigma 20, 0.8),
+    times the logistic dichroic at 450 nm, evaluated in closed form."""
+    return (
+        math.exp(-((lam - 460.0) ** 2) / (2.0 * 15.0**2)) * 1.0
+        + math.exp(-((lam - 525.0) ** 2) / (2.0 * 20.0**2)) * 0.8
+    ) * (1.0 / (1.0 + math.exp(-(lam - 450.0) / 2.0)))
 
 
 class TestBaseEmission:
-    def test_no_fluorophores_is_dark(self):
-        cfg = OpticalConfig(fluorophores=())
-        w = cfg.grid.values()
-        assert np.all(base_emission(w, cfg) == 0.0)
-
     def test_single_peak_center_value(self):
-        f = Fluorophore("NADH", center_nm=460.0, sigma_nm=30.0, amplitude=1.0)
-        cfg = OpticalConfig(fluorophores=(f,))
-        expected = dichroic_transmittance(460.0, cfg.dichroic)
-        assert base_emission(460.0, cfg) == pytest.approx(expected, rel=1e-12)
+        # At 460 nm the NADH line is at its unit peak; FAD adds its tail.
+        expected = (
+            1.0 + 0.8 * math.exp(-(65.0**2) / (2.0 * 20.0**2))
+        ) * dichroic_transmittance(460.0)
+        assert base_emission(460.0) == pytest.approx(expected, rel=1e-12)
 
     def test_two_peak_value_at_525(self):
-        # Direct formula evaluation for an explicit two-Gaussian config.
-        fl = (
-            Fluorophore("NADH", center_nm=460.0, sigma_nm=30.0, amplitude=1.0),
-            Fluorophore("FAD", center_nm=525.0, sigma_nm=35.0, amplitude=0.8),
-        )
-        cfg = OpticalConfig(fluorophores=fl)
-        lam = 525.0
-        expected = (
-            math.exp(-((lam - 460.0) ** 2) / (2.0 * 30.0**2)) * 1.0
-            + math.exp(-((lam - 525.0) ** 2) / (2.0 * 35.0**2)) * 0.8
-        ) * (1.0 / (1.0 + math.exp(-(lam - 450.0) / 2.0)))
-        assert base_emission(lam, cfg) == pytest.approx(expected, rel=1e-12)
+        assert base_emission(525.0) == pytest.approx(two_line_emission(525.0), rel=1e-12)
 
-    def test_baseline_added_before_dichroic(self):
-        cfg = OpticalConfig(fluorophores=(), baseline=0.25)
-        expected = 0.25 * dichroic_transmittance(600.0, cfg.dichroic)
-        assert base_emission(600.0, cfg) == pytest.approx(expected, rel=1e-12)
+    def test_closed_form_across_the_grid(self):
+        expected = np.array([two_line_emission(lam) for lam in GRID_NM.tolist()])
+        # Far below the cutoff the tanh form and the logistic differ by
+        # rounding on values under 1e-17, hence the absolute floor.
+        np.testing.assert_allclose(base_emission(GRID_NM), expected, rtol=1e-12, atol=1e-15)
 
 
 class TestAngularAttenuation:
@@ -187,7 +178,7 @@ class TestSynthesizeSpectrum:
     def test_output_on_declared_grid(self):
         cfg = OpticalConfig()
         s = synthesize_spectrum(cfg, 0.2, Rng(9))
-        assert np.array_equal(s.wavelengths_nm, cfg.grid.values())
+        assert np.array_equal(s.wavelengths_nm, GRID_NM)
 
     def test_draw_count_independent_of_sigma(self):
         # The noiseless path consumes the same RNG stream, so toggling
@@ -231,8 +222,8 @@ class TestSynthesizeSpectrum:
 
 def reference_spectrum(cfg, aoi_rad, rng):
     """The whole model evaluated per call, as synthesize_spectrum promises."""
-    lam = cfg.grid.values()
-    signal = base_emission(lam, cfg) * angular_attenuation(lam, aoi_rad, cfg.angular)
+    lam = GRID_NM
+    signal = base_emission(lam) * angular_attenuation(lam, aoi_rad, cfg.angular)
     return lam, signal + cfg.noise_sigma * rng.standard_normal(lam.size)
 
 
@@ -262,7 +253,7 @@ class TestForwardModelCache:
         configs = [
             OpticalConfig(),
             OpticalConfig(angular=AngularResponse(kappa=0.0)),
-            OpticalConfig(grid=WavelengthGrid(420.0, 760.0, 0.25)),
+            OpticalConfig(angular=AngularResponse(kappa=1.25), noise_sigma=0.2),
         ]
         aoi = math.radians(12.6)
         for _ in range(2):
@@ -271,14 +262,14 @@ class TestForwardModelCache:
                 lam, ref = reference_spectrum(cfg, aoi, Rng(7))
                 assert got.wavelengths_nm.tobytes() == lam.tobytes()
                 assert got.intensities.tobytes() == ref.tobytes()
-        models = [_forward_model(cfg) for cfg in configs]
-        assert all(m is _forward_model(cfg) for m, cfg in zip(models, configs))
-        assert len({id(m[1]) for m in models}) == len(configs)
+        kappas = [cfg.angular.kappa for cfg in configs]
+        exponents = [_exponent_on_grid(kappa) for kappa in kappas]
+        assert all(k is _exponent_on_grid(kappa) for k, kappa in zip(exponents, kappas))
+        assert len({id(k) for k in exponents}) == len(configs)
 
     def test_cached_arrays_are_read_only(self):
-        cfg = OpticalConfig()
-        synthesize_spectrum(cfg, 0.1, Rng(0))
-        for arr in _forward_model(cfg):
+        synthesize_spectrum(OpticalConfig(), 0.1, Rng(0))
+        for arr in (_GRID_NM, _BASE_EMISSION, _exponent_on_grid(DEFAULT_KAPPA)):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
