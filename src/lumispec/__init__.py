@@ -6,7 +6,6 @@ persists runs in byte-stable text formats, and reduces them to normalized
 AUC-vs-angle profiles with summary statistics.
 """
 
-from .calibration import calibrate_kappa, crossing_target_aoi_rad, falloff_ratio
 from .charts import render_line_chart
 from .dataio import (
     read_run,
@@ -85,6 +84,19 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+# calibration loads on first use, so that `python -m lumispec.calibration`
+# runs the module once, as __main__, and not also as a submodule (PEP 562).
+_CALIBRATION = ("calibrate_kappa", "crossing_target_aoi_rad", "falloff_ratio")
+
+
+def __getattr__(name: str):
+    if name in _CALIBRATION:
+        from . import calibration
+
+        return getattr(calibration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AcquisitionPort",

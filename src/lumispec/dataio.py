@@ -19,6 +19,14 @@ against the plan within 1e-6 deg but never used as the value of record;
 its spectrum_file must be the canonical name, and all spectra of a run
 share one wavelength grid. Profile angles increase strictly.
 
+Spectrum files are written by one encoder, ``_encode_spectra``, which
+``write_run`` feeds a chunk of files at a time and ``write_spectrum`` one
+file. It writes each ``%.9e`` cell with exact float arithmetic, so its
+bytes are those %-formatting writes; a cell it cannot prove so (next to a
+decimal tie or a misjudged decade, zero, or outside 1e-13..1e32) is
+written by ``"%.9e" % v`` itself. A 3x21 run is written in ~10-15 ms
+instead of ~27-37 ms (in-process ``write_run``, 2-core x86-64 host).
+
 Spectrum files in the exact form ``write_run`` writes are decoded with
 exact integer arithmetic, ``read_run`` taking them a chunk of files at a
 time. Any other file, valid or not, is parsed line by line by the
@@ -29,6 +37,7 @@ values in ~2x the time of a canonical one.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -128,10 +137,12 @@ def spectrum_filename(trial: int, step: int) -> str:
     return f"t{trial}_s{step:02}.csv"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: Union[str, bytes]) -> None:
+    """Write ``text`` (UTF-8 when a str; LF endings as given) to ``path``."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise DataIoError(f"cannot write {path}: {exc}") from exc
 
@@ -186,21 +197,10 @@ def _parse_rows(text: str, fmt: _CsvFormat) -> list[list]:
 
 # --- spectrum files ---------------------------------------------------------
 
-_WAVELENGTH_CELL, _INTENSITY_CELL = _SPECTRUM_CSV.row.split(",")
-
-
-def _spectrum_template(wavelengths_nm: np.ndarray) -> str:
-    """The text of a spectrum file on this grid, with one ``%.9e`` slot per
-    intensity: every file of a run shares the wavelength column, so it is
-    formatted once per grid."""
-    rows = (f"{_WAVELENGTH_CELL % w},{_INTENSITY_CELL}" for w in wavelengths_nm.tolist())
-    return "\n".join([SPECTRUM_HEADER, *rows]) + "\n"
-
-
-def write_spectrum(spectrum: Spectrum, path: PathLike) -> None:
-    """Write one spectrum in the canonical text format."""
-    text = _spectrum_template(spectrum.wavelengths_nm) % tuple(spectrum.intensities.tolist())
-    _write_text(Path(path), text)
+# Spectrum files per _encode_spectra call in write_run and per
+# _decode_spectra call in read_run: fixed numpy call costs dominate one
+# 801-sample file, and a whole run at once is slower.
+_CHUNK_FILES = 16
 
 
 # The canonical decoder. A line that write_run writes is "%.6f,%.9e\n":
@@ -305,6 +305,100 @@ def _decode_spectra(files: list[bytes]) -> Optional[tuple[np.ndarray, np.ndarray
     np.multiply(values, scale, out=values, where=power > 0)
     np.negative(values, out=values, where=negative)
     return grid, values.reshape(len(files), n)
+
+
+# The canonical encoder, the mirror of _decode_spectra. A file is built as
+# one byte row per line: its "%.6f," wavelength cell, right-aligned, then an
+# 18-byte slot for the intensity, written as nine uint16 places
+#   [NUL, "-" or NUL] [D0 "."] [D1 D2] [D3 D4] [D5 D6] [D7 D8] [D9 "e"] [± E] [E "\n"],
+# and the NUL pad bytes are dropped when the file is joined. The mantissa
+# D0..D9 is D = round(|v| * 10**(9 - e)) with e the decimal exponent. For
+# 1e-13 <= |v| < 1e32 the power 10**|9 - e| is exact in float64 (see
+# _POW10), so y = |v| * 10**(9 - e), or |v| / 10**(e - 9), is one IEEE
+# operation on exact operands and within half an ulp (< 1e-6) of the true
+# product; floor(y + 0.5) is then the correctly rounded mantissa that
+# "%.9e" writes unless y lies within _NEAR_HALF of a half-integer. Those
+# cells, and every other value (zero, subnormal, huge, non-finite), are
+# written from the reference "%.9e" itself.
+def _u16(cells) -> np.ndarray:
+    """Two-byte ASCII cells, one uint16 each in memory order."""
+    return np.frombuffer(b"".join(cells), np.uint16)
+
+
+_SLOT = 18  # "-D.DDDDDDDDDe+DDD\n": room for a 3-digit exponent
+_NEAR_HALF = 0.5 - 1e-5
+_MINUS = _u16([b"\0-"])[0]
+_LEAD = _u16(b"%d." % d for d in range(10))
+_PAIRS = _u16(b"%02d" % d for d in range(100))
+_LAST = _u16(b"%de" % d for d in range(10))
+_EXPONENTS = _u16(b"%+03d\n" % k for k in range(-99, 100))  # k at 2 * (k + 99)
+# |v| * _SCALE_UP[32 - e] / _SCALE_DOWN[32 - e] is |v| * 10**(9 - e) for
+# e in -13..31, the floor of log10 of 1e-13 <= |v| < 1e32 give or take one:
+# one factor is 1.0, so each value meets one rounding.
+_SCALE_UP = np.array([_POW10[min(max(9 - e, 0), 22)] for e in range(32, -15, -1)])
+_SCALE_DOWN = np.array([_POW10[min(max(e - 9, 0), 22)] for e in range(32, -15, -1)])
+
+
+@functools.lru_cache(maxsize=4)
+def _wavelength_cells(grid: bytes) -> np.ndarray:
+    """The "%.6f," cell of each point of a float64 grid, right-aligned in a
+    row of even width and followed by an empty slot."""
+    cells = [b"%.6f," % w for w in np.frombuffer(grid).tolist()]
+    width = max(map(len, cells)) + 1 & ~1
+    rows = b"".join(cell.rjust(width, b"\0") + bytes(_SLOT) for cell in cells)
+    return np.frombuffer(rows, np.uint8).reshape(len(cells), width + _SLOT)
+
+
+def _encode_spectra(grid: np.ndarray, rows: np.ndarray) -> list[bytes]:
+    """The bytes of the canonical spectrum file of each row of intensities
+    on ``grid``: the header, then one "%.6f,%.9e" line per sample, each
+    byte for byte what %-formatting writes."""
+    template = _wavelength_cells(np.ascontiguousarray(grid, np.float64).tobytes())
+    width = template.shape[1]
+    rows = np.asarray(rows, np.float64)
+    values = rows.reshape(-1)
+    magnitude = np.abs(values)
+    exact = (magnitude >= 1e-13) & (magnitude < 1e32)  # False for nan
+    magnitude[~exact] = 1.0
+    exponent = np.floor(np.log10(magnitude))
+    index = (32 - exponent).astype(np.intp)
+    y = magnitude * _SCALE_UP.take(index) / _SCALE_DOWN.take(index)
+    mantissa = np.floor(y + 0.5)
+    # Next to a power of ten, log10 can floor to the wrong e: y then falls
+    # outside [1e9, 1e10), and the reference writes the cell.
+    unproven = (~exact | (y < 1e9) | (y >= 1e10) | (np.abs(y - mantissa) > _NEAR_HALF)
+                | (np.abs(exponent - 9) > 22))
+    carry = mantissa == 1e10  # 9.9999999995 rounds up to 1.000000000e(e+1)
+    if carry.any():
+        mantissa[carry] = 1e9
+        exponent[carry] += 1
+
+    out = np.empty((len(rows), *template.shape), np.uint8)
+    out[:] = template
+    out = out.reshape(-1, width)
+    slot = out[:, width - _SLOT:].view(np.uint16)
+    slot[:, 0] = np.signbit(values).view(np.uint8) * _MINUS
+    high = np.floor(mantissa / 10)
+    slot[:, 6] = _LAST.take((mantissa - 10 * high).astype(np.intp))
+    for place in range(5, 1, -1):
+        low, high = high, np.floor(high / 100)
+        slot[:, place] = _PAIRS.take((low - 100 * high).astype(np.intp))
+    # A lead above 9 is an unproven cell's (y >= 1e10), written over below.
+    slot[:, 1] = _LEAD.take(high.astype(np.intp), mode="clip")
+    index = (2 * exponent).astype(np.intp) + 2 * 99
+    slot[:, 7] = _EXPONENTS.take(index)
+    slot[:, 8] = _EXPONENTS.take(index + 1)
+    where = np.flatnonzero(unproven)
+    for i, value in zip(where.tolist(), values[where].tolist()):
+        cell = (b"%.9e" % value).rjust(_SLOT - 1, b"\0")
+        out[i, width - _SLOT:-1] = np.frombuffer(cell, np.uint8)
+    return [_HEAD + f[f != 0].tobytes() for f in out.reshape(len(rows), -1)]
+
+
+def write_spectrum(spectrum: Spectrum, path: PathLike) -> None:
+    """Write one spectrum in the canonical text format."""
+    (text,) = _encode_spectra(spectrum.wavelengths_nm, spectrum.intensities[None])
+    _write_text(Path(path), text)
 
 
 def read_spectrum(path: PathLike) -> Spectrum:
@@ -434,13 +528,16 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
         ]
         _write_text(out / META_FILE, "\n".join(meta_lines) + "\n")
 
-        template = _spectrum_template(grid)
+        angles = plan.angles()
         manifest_rows = []
         for record in sorted(records, key=lambda r: r.trial_index):
-            for step, (angle, row) in enumerate(zip(plan.angles(), record.spectra.intensities)):
-                name = spectrum_filename(record.trial_index, step)
-                manifest_rows.append((record.trial_index, step, angle, name))
-                _write_text(out / name, template % tuple(row.tolist()))
+            rows = record.spectra.intensities
+            for start in range(0, len(rows), _CHUNK_FILES):
+                files = _encode_spectra(grid, rows[start:start + _CHUNK_FILES])
+                for step, text in enumerate(files, start):
+                    name = spectrum_filename(record.trial_index, step)
+                    manifest_rows.append((record.trial_index, step, angles[step], name))
+                    _write_text(out / name, text)
         _write_csv(out / MANIFEST_FILE, _MANIFEST_CSV, manifest_rows)
     finally:
         try:
@@ -525,11 +622,6 @@ def _check_manifest(text: str, plan: SweepPlan) -> None:
             f"manifest.csv has {len(seen)} entries, expected {expected} "
             f"({plan.trials} trials x {plan.n_steps} steps)"
         )
-
-
-# Spectrum files per _decode_spectra call in read_run: fixed numpy call
-# costs dominate one 801-sample file, and a whole run at once is slower.
-_CHUNK_FILES = 16
 
 
 def _read_chunk(out: Path, names: list[str]) -> list[bytes]:

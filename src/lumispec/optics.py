@@ -79,8 +79,8 @@ class OpticalConfig:
     noise_sigma: float = DEFAULT_NOISE_SIGMA
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and non-negative")
 
 
 class Rng:

@@ -35,6 +35,7 @@ from lumispec.dataio import (
     read_run_header,
     read_spectrum,
     _decode_spectra,
+    _encode_spectra,
     _parse_rows,
     spectrum_filename,
     write_profile,
@@ -177,6 +178,103 @@ class TestSpectrumFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIoError):
             read_spectrum(tmp_path / "nope.csv")
+
+
+def reference_cells(values):
+    return [("%.9e" % v).encode() for v in np.asarray(values, float).tolist()]
+
+
+def encoded_cells(values):
+    """The intensity cells the encoder writes for ``values``, one file."""
+    values = np.asarray(values, float)
+    (data,) = _encode_spectra(np.arange(values.size, dtype=float), values[None])
+    assert data.startswith(b"wavelength_nm,intensity\n") and data.endswith(b"\n")
+    return [line.split(b",")[1] for line in data.splitlines()[1:]]
+
+
+def half_way_neighbours(rng, n):
+    """Values next to the decimal ties (D + 0.5) * 10**k of a 10-digit D,
+    where only exact rounding writes the right last digit."""
+    mantissa = rng.integers(10**9, 10**10, n).astype(float) + 0.5
+    ties = mantissa * 10.0 ** rng.integers(-25, 16, n)
+    return np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+
+
+SPECIAL_VALUES = [0.0, -0.0, -1e-5, 5e-324, 1e-100, 1e300, -1e300,
+                  9.9999999995e-3, 0.99999999995, 1234567890.5, 2.5e-13, 1e32]
+
+
+@pytest.mark.filterwarnings("error")
+class TestEncoder:
+    """_encode_spectra writes every cell byte for byte as "%.9e" does."""
+
+    def test_random_mantissas_over_60_decades(self):
+        rng = np.random.default_rng(10)
+        values = rng.uniform(1, 10, 20_000) * 10.0 ** rng.integers(-30, 31, 20_000)
+        values *= rng.choice([-1.0, 1.0], values.size)
+        assert encoded_cells(values) == reference_cells(values)
+
+    @pytest.mark.parametrize("value", SPECIAL_VALUES)
+    def test_special_values(self, value):
+        assert encoded_cells([value, -value]) == reference_cells([value, -value])
+
+    @pytest.mark.parametrize("value, cell", [
+        (9.9999999995e-3, b"1.000000000e-02"),
+        (0.99999999995, b"9.999999999e-01"),  # just below the tie as a float64
+        (np.nextafter(0.99999999995, 1), b"1.000000000e+00"),
+        (9.99999999951e4, b"1.000000000e+05"),
+    ])
+    def test_rounding_next_to_a_decade(self, value, cell):
+        assert encoded_cells([value]) == reference_cells([value]) == [cell]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-40, 41)
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        assert encoded_cells(values) == reference_cells(values)
+
+    @pytest.mark.parametrize("error", [-1.0, 1.0])
+    def test_misjudged_exponent_falls_back_to_the_reference(self, error, monkeypatch):
+        """A log10 that floors one decade off leaves y outside [1e9, 1e10):
+        such cells are written by "%.9e" itself."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + error)
+        values = [0.123456789, -3.3, 7.77e-5, 0.999999999951, 9.9999999995e-3]
+        assert encoded_cells(values) == reference_cells(values)
+
+    def test_neighbours_of_half_way_values(self):
+        values = half_way_neighbours(np.random.default_rng(11), 5_000)
+        assert encoded_cells(values) == reference_cells(values)
+
+    def test_files_of_a_chunk(self):
+        rng = np.random.default_rng(12)
+        grid = np.array([0.5, 99.25, 400.0, 12345.678901])
+        rows = rng.normal(0.0, 1.0, (5, grid.size)) * 10.0 ** rng.integers(-8, 8, (5, grid.size))
+        got = _encode_spectra(grid, rows)
+        text = "\n".join(["wavelength_nm,intensity", *(f"{w:.6f},%.9e" for w in grid)]) + "\n"
+        assert got == [(text % tuple(row)).encode() for row in rows.tolist()]
+
+    def test_write_spectrum_reads_back_bit_equal(self, tmp_path):
+        rng = np.random.default_rng(13)
+        values = np.concatenate([half_way_neighbours(rng, 300), SPECIAL_VALUES,
+                                 rng.uniform(-1, 1, 300) * 10.0 ** rng.integers(-30, 31, 300)])
+        path = tmp_path / "s.csv"
+        write_spectrum(Spectrum(400.0 + 0.5 * np.arange(values.size), values), path)
+        expected = np.array([float(cell) for cell in reference_cells(values)])
+        assert read_spectrum(path).intensities.tobytes() == expected.tobytes()
+
+    def test_memory_peak_of_a_wide_run(self, tmp_path):
+        """write_run streams chunks: a 3x61 run peaks under 4 MB."""
+        records = read_run(simulate_run(tmp_path / "run", *WIDE_PLAN_ARGV))
+        tracemalloc.start()
+        try:
+            write_run(records, tmp_path / "copy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert {p.name: p.read_bytes() for p in (tmp_path / "copy").iterdir()} == {
+            p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()
+        }
 
 
 class TestRunRoundTrip:

@@ -45,6 +45,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             OpticalConfig(noise_sigma=-0.01)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -1.0])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            OpticalConfig(noise_sigma=sigma)
+
     def test_grid_values_by_index(self):
         v = synthesize_spectrum(OpticalConfig(), 0.0, Rng(0)).wavelengths_nm
         assert v.tobytes() == GRID_NM.tobytes()

@@ -1,10 +1,15 @@
 """Package-level checks: public API surface and the frozen calibration."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import lumispec
+from lumispec import calibration
 from lumispec.calibration import (
     calibrate_kappa,
     crossing_target_aoi_rad,
@@ -22,6 +27,14 @@ class TestPublicApi:
         assert list(lumispec.__all__) == sorted(lumispec.__all__)
         for name in lumispec.__all__:
             assert getattr(lumispec, name) is not None
+
+    def test_calibration_names_load_lazily(self):
+        from lumispec import calibrate_kappa as imported
+
+        assert imported is calibrate_kappa
+        assert lumispec.falloff_ratio is calibration.falloff_ratio
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            lumispec.no_such_name
 
     def test_key_names_exported(self):
         for name in (
@@ -66,3 +79,15 @@ class TestCalibration:
     def test_unbracketable_threshold_rejected(self):
         with pytest.raises(ValueError):
             calibrate_kappa(kappa_hi=1e-6, threshold=0.5)
+
+
+def test_calibration_runs_once_as_a_module():
+    """``python -m lumispec.calibration`` prints the kappa, with no warning
+    that the package imported the module before it ran as __main__."""
+    env = dict(os.environ)
+    src = str(Path(lumispec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "lumispec.calibration"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert f"calibrated kappa:    {DEFAULT_KAPPA!r}" in done.stdout.splitlines()
