@@ -62,7 +62,6 @@ from .geometry import (
 from .optics import (
     DEFAULT_KAPPA,
     DEFAULT_NOISE_SIGMA,
-    AngularResponse,
     OpticalConfig,
     Rng,
     angular_attenuation,
@@ -100,7 +99,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "AcquisitionPort",
-    "AngularResponse",
     "AoiOutOfRangeError",
     "AucProfile",
     "DEFAULT_KAPPA",

@@ -94,7 +94,7 @@ def calibrate_kappa(
     target = crossing_target_aoi_rad(pivot, radius_mm)
 
     def ratio_at(kappa: float) -> float:
-        tuned = replace(cfg, angular=replace(cfg.angular, kappa=kappa))
+        tuned = replace(cfg, kappa=kappa)
         return falloff_ratio(tuned, target)
 
     lo, hi = 0.0, kappa_hi

@@ -22,7 +22,7 @@ from .charts import render_line_chart
 from .engine import AcquisitionPort, SimulatedPort, SweepPlan, run_triplicate
 from .errors import DataIoError, LayoutError, LumispecError, NonPositiveAucError
 from .geometry import FlatSurface, PivotGeometry, SphereSurface, SurfaceModel
-from .optics import AngularResponse, OpticalConfig
+from .optics import OpticalConfig
 from .spectral import (
     PipelineConfig,
     auc_profile,
@@ -171,7 +171,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.noise_sigma is not None:
         cfg_kwargs["noise_sigma"] = args.noise_sigma
     if args.kappa is not None:
-        cfg_kwargs["angular"] = AngularResponse(kappa=args.kappa)
+        cfg_kwargs["kappa"] = args.kappa
     config = OpticalConfig(**cfg_kwargs)
 
     pivot = PivotGeometry()

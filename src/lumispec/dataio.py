@@ -89,8 +89,6 @@ META_FIELDS = (
     ("settle_s", SweepPlan, float),
 )
 
-SCHEMA_VERSION = 1
-
 _MANIFEST_ANGLE_TOL_DEG = 1e-6
 
 # Files of a run directory that write_run owns; spectrum files are the
@@ -552,12 +550,9 @@ def _parse_meta_value(key: str, kind, text: str):
     if kind is _FLOAT_OR_NONE and text == "none":
         return None
     try:
-        value = int(text) if kind is int else float(text)
+        return int(text) if kind is int else float(text)
     except ValueError as exc:
         raise MetaError(f"meta.txt key {key!r}: {exc}") from exc
-    if kind is not int and not math.isfinite(value):
-        raise MetaError(f"meta.txt key {key!r} is not finite")
-    return value
 
 
 def read_run_header(run_dir: PathLike) -> tuple[SweepPlan, RunMeta]:
@@ -583,9 +578,6 @@ def read_run_header(run_dir: PathLike) -> tuple[SweepPlan, RunMeta]:
     if values:
         raise MetaError(f"meta.txt has unexpected key {next(iter(values))!r}")
 
-    schema = fields[RunMeta]["schema_version"]
-    if schema != SCHEMA_VERSION:
-        raise MetaError(f"unsupported schema_version {schema} (expected {SCHEMA_VERSION})")
     try:
         return SweepPlan(**fields[SweepPlan]), RunMeta(**fields[RunMeta])
     except ValueError as exc:

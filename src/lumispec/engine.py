@@ -35,6 +35,12 @@ from .optics import OpticalConfig, Rng, synthesize_spectrum
 from .spectral import Spectrum
 
 
+def _check_int(name: str, value, least: int) -> None:
+    # A bool is an int, but meta.txt would spell it "True" or "False".
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Angular sampling plan for one run.
@@ -53,12 +59,14 @@ class SweepPlan:
     settle_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        for name in ("start_deg", "step_deg", "settle_s"):
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_int("n_steps", self.n_steps, 1)
+        _check_int("trials", self.trials, 1)
         if not self.step_deg > 0:
             raise ValueError(f"step_deg must be > 0, got {self.step_deg!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.settle_s < 0:
             raise ValueError(f"settle_s must be >= 0, got {self.settle_s!r}")
 
@@ -170,9 +178,13 @@ class ScanStateMachine:
         return new
 
 
+SCHEMA_VERSION = 1
+
+
 @dataclass(frozen=True)
 class RunMeta:
-    """Configuration snapshot sufficient to reproduce a run bit-for-bit."""
+    """Configuration snapshot sufficient to reproduce a run bit-for-bit; its
+    values are valid when they build the optics, pivot and surface they name."""
 
     geometry: str
     sphere_radius_mm: Optional[float]
@@ -180,22 +192,23 @@ class RunMeta:
     seed: int
     noise_sigma: float
     kappa: float
-    schema_version: int = 1
+    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if self.geometry not in ("flat", "convex"):
             raise ValueError(f"geometry must be 'flat' or 'convex', got {self.geometry!r}")
         if self.geometry == "convex":
-            if self.sphere_radius_mm is None or not self.sphere_radius_mm > 0:
-                raise ValueError("convex geometry requires sphere_radius_mm > 0")
+            if self.sphere_radius_mm is None:
+                raise ValueError("convex geometry requires sphere_radius_mm")
+            SphereSurface(self.sphere_radius_mm)
         elif self.sphere_radius_mm is not None:
             raise ValueError("flat geometry must not carry a sphere radius")
-        if not self.working_distance_mm > 0:
-            raise ValueError("working_distance_mm must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        _check_int("seed", self.seed, 0)
+        if self.schema_version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {self.schema_version!r} "
+                             f"(expected {SCHEMA_VERSION})")
+        OpticalConfig(self.kappa, self.noise_sigma)
+        PivotGeometry(self.working_distance_mm)
 
 
 @dataclass(frozen=True)
@@ -280,7 +293,7 @@ class SimulatedPort(AcquisitionPort):
             working_distance_mm=self._pivot.working_distance_mm,
             seed=self._seed,
             noise_sigma=self._config.noise_sigma,
-            kappa=self._config.angular.kappa,
+            kappa=self._config.kappa,
         )
 
 

@@ -35,8 +35,8 @@ class PivotGeometry:
     working_distance_mm: float = 17.0
 
     def __post_init__(self) -> None:
-        if not self.working_distance_mm > 0:
-            raise ValueError("working_distance_mm must be positive")
+        if not 0 < self.working_distance_mm < math.inf:
+            raise ValueError("working_distance_mm must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class SphereSurface:
     radius_mm: float
 
     def __post_init__(self) -> None:
-        if not self.radius_mm > 0:
-            raise ValueError("radius_mm must be positive")
+        if not 0 < self.radius_mm < math.inf:
+            raise ValueError("radius_mm must be finite and positive")
 
 
 SurfaceModel = Union[FlatSurface, SphereSurface]
@@ -87,8 +87,7 @@ def incidence_sphere(
     theta_deg: float, g: PivotGeometry, radius_mm: float
 ) -> IncidenceSolution:
     """Near ray-sphere intersection via the law-of-sines closed form."""
-    if not radius_mm > 0:
-        raise ValueError("radius_mm must be positive")
+    SphereSurface(radius_mm)  # the radius rule is the surface's
     if abs(theta_deg) >= 90.0:
         raise NoIntersectionError(
             f"motor angle {theta_deg:g} deg points away from the phantom"

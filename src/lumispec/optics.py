@@ -21,7 +21,7 @@ the base emission are built once at import, and the exponent k(lambda) once
 per kappa, all as read-only arrays. Each acquisition then costs one
 ``cos(aoi) ** k``, one product and one noise draw, and its output is
 bit-identical to the per-call formula
-``base_emission(lam) * angular_attenuation(lam, aoi, cfg.angular)`` plus
+``base_emission(lam) * angular_attenuation(lam, aoi, cfg.kappa)`` plus
 ``noise_sigma`` times the draw.
 """
 
@@ -61,26 +61,18 @@ _DICHROIC_WIDTH_NM = 2.0
 
 
 @dataclass(frozen=True)
-class AngularResponse:
-    """Chromatic exponent slope of the cosine attenuation (0 = pure Lambert)."""
+class OpticalConfig:
+    """The settings of the forward model, both recorded in a run's meta.txt:
+    the attenuation's chromatic slope kappa (0 = pure Lambert) and the noise."""
 
     kappa: float = DEFAULT_KAPPA
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError("kappa must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class OpticalConfig:
-    """The settings of the forward model; a run's meta.txt records both."""
-
-    angular: AngularResponse = AngularResponse()
     noise_sigma: float = DEFAULT_NOISE_SIGMA
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError("noise_sigma must be finite and non-negative")
+        for name in ("kappa", "noise_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 class Rng:
@@ -131,7 +123,7 @@ def _exponent(lam: np.ndarray, kappa: float) -> np.ndarray:
     )
 
 
-def angular_attenuation(wavelength_nm, aoi_rad: float, a: AngularResponse):
+def angular_attenuation(wavelength_nm, aoi_rad: float, kappa: float):
     """cos(aoi) ** k(lambda) with k = max(1, 1 + kappa * (lambda - 450) / 300).
 
     Equals 1 at normal incidence for every wavelength and decreases
@@ -139,7 +131,7 @@ def angular_attenuation(wavelength_nm, aoi_rad: float, a: AngularResponse):
     """
     _check_aoi(aoi_rad)
     lam = np.asarray(wavelength_nm, dtype=float)
-    out = np.cos(aoi_rad) ** _exponent(lam, a.kappa)
+    out = np.cos(aoi_rad) ** _exponent(lam, kappa)
     return float(out) if np.ndim(wavelength_nm) == 0 else out
 
 
@@ -168,7 +160,7 @@ def synthesize_spectrum(cfg: OpticalConfig, aoi_rad: float, rng: Rng) -> Spectru
     out-of-range angle raises before any draw.
     """
     _check_aoi(aoi_rad)
-    k = _exponent_on_grid(cfg.angular.kappa)
+    k = _exponent_on_grid(cfg.kappa)
     signal = _BASE_EMISSION * (np.cos(aoi_rad) ** k)
     noise = rng.standard_normal(_GRID_NM.size)
     return Spectrum(_GRID_NM, signal + cfg.noise_sigma * noise)

@@ -79,8 +79,9 @@ class PipelineConfig:
     auc_hi_nm: float = 750.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.norm_cutoff_nm):
-            raise ValueError("norm_cutoff_nm must be finite")
+        for name in ("norm_cutoff_nm", "auc_lo_nm", "auc_hi_nm"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite")
         if not self.auc_lo_nm < self.auc_hi_nm:
             raise ValueError("auc_lo_nm must be below auc_hi_nm")
 

@@ -15,7 +15,6 @@ import pytest
 
 from _oracles import brute_force_sphere, gaussian_band_integral
 from lumispec import (
-    AngularResponse,
     IllegalTransitionError,
     LumispecError,
     OpticalConfig,
@@ -80,7 +79,7 @@ def test_criterion_1_scale_invariance():
 def test_criterion_2_achromatic_cancellation():
     """kappa=0, noiseless: normalization cancels the angular falloff exactly."""
     with criterion(2, "achromatic cancellation"):
-        cfg = OpticalConfig(noise_sigma=0.0, angular=AngularResponse(kappa=0.0))
+        cfg = OpticalConfig(noise_sigma=0.0, kappa=0.0)
         plan = default_plan()
         angles = np.asarray(plan.angles())
         for surface in (None, SphereSurface(radius_mm=25.0)):

@@ -15,7 +15,7 @@ import socket
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from lumispec.cli import SEED_ENV_VAR, main
 from lumispec.dataio import (
     _SPECTRUM_CSV,
     MANIFEST_FILE,
+    META_FIELDS,
     META_FILE,
     PROFILE_FILE,
     PROFILE_HEADER,
@@ -59,7 +60,7 @@ from lumispec.errors import (
     SpectrumParseError,
 )
 from lumispec.geometry import FlatSurface, PivotGeometry, SphereSurface
-from lumispec.optics import AngularResponse, OpticalConfig
+from lumispec.optics import OpticalConfig
 from lumispec.spectral import Spectrum, run_pipeline
 from test_golden import GOLDEN
 
@@ -338,7 +339,7 @@ class TestRunRoundTrip:
     def test_rebuilt_from_meta_reproduces_every_byte(self, tmp_path):
         # meta.txt is the whole recipe of a run: every non-default setting it
         # records must come back, and nothing it does not record may matter.
-        config = OpticalConfig(angular=AngularResponse(kappa=2.718281828459045), noise_sigma=0.03)
+        config = OpticalConfig(kappa=2.718281828459045, noise_sigma=0.03)
         pivot = PivotGeometry(working_distance_mm=21.5)
         surface = SphereSurface(radius_mm=40.0)
         plan = SweepPlan(start_deg=-12.0, step_deg=2.4, n_steps=11, trials=2)
@@ -350,7 +351,7 @@ class TestRunRoundTrip:
         plan, meta = read_run_header(original)
         assert (meta.kappa, meta.noise_sigma) == (2.718281828459045, 0.03)
         assert (meta.working_distance_mm, meta.sphere_radius_mm) == (21.5, 40.0)
-        config = OpticalConfig(angular=AngularResponse(meta.kappa), noise_sigma=meta.noise_sigma)
+        config = OpticalConfig(kappa=meta.kappa, noise_sigma=meta.noise_sigma)
         pivot = PivotGeometry(meta.working_distance_mm)
         surface = (
             SphereSurface(meta.sphere_radius_mm) if meta.geometry == "convex" else FlatSurface()
@@ -577,6 +578,37 @@ class TestMetaTable:
         write_run(tiny_records(plan, meta), tmp_path)
         assert (tmp_path / META_FILE).read_bytes() == expected.encode()
         assert read_run_header(tmp_path) == (plan, meta)
+
+    @pytest.mark.parametrize("key", [key for key, _, _ in META_FIELDS])
+    def test_write_refuses_what_read_refuses(self, key, tmp_path):
+        # Each value is refused when its record is built, and then refused in
+        # meta.txt too; or it is written and reads back equal.
+        base = {
+            SweepPlan: asdict(SweepPlan(start_deg=-1.8, step_deg=1.8, n_steps=2, trials=1)),
+            RunMeta: asdict(RunMeta(geometry="convex", sphere_radius_mm=25.0,
+                                    working_distance_mm=17.0, seed=7,
+                                    noise_sigma=0.01, kappa=3.0)),
+        }
+        write_run(tiny_records(SweepPlan(**base[SweepPlan]), RunMeta(**base[RunMeta])),
+                  tmp_path / "base")
+        base_lines = (tmp_path / "base" / META_FILE).read_text().splitlines()
+        owner = next(owner for k, owner, _ in META_FIELDS if k == key)
+        for i, value in enumerate([float("inf"), float("-inf"), float("nan"), 0, -1, 1e300]):
+            fields = {**base, owner: {**base[owner], key: value}}
+            try:
+                plan, meta = SweepPlan(**fields[SweepPlan]), RunMeta(**fields[RunMeta])
+            except ValueError:
+                (tmp_path / "base" / META_FILE).write_text("\n".join(
+                    f"{key}={value!r}" if line.startswith(f"{key}=") else line
+                    for line in base_lines
+                ) + "\n")
+                with pytest.raises(MetaError, match=f"describes an invalid run|key '{key}'"):
+                    read_run_header(tmp_path / "base")
+                continue
+            run_dir = tmp_path / f"run{i}"
+            write_run(tiny_records(plan, meta), run_dir)
+            assert read_run_header(run_dir) == (plan, meta), (key, value)
+            assert [(r.plan, r.meta) for r in read_run(run_dir)] == [(plan, meta)]
 
     def test_none_rejected_for_plain_float(self, small_run):
         edit_lines(

@@ -68,6 +68,13 @@ class TestSweepPlan:
             SweepPlan(trials=0)
         with pytest.raises(ValueError):
             SweepPlan(settle_s=-0.5)
+        for name in ("start_deg", "step_deg", "settle_s"):
+            for bad in (float("inf"), float("-inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SweepPlan(**{name: bad})
+        for bad in (21.0, True):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                SweepPlan(n_steps=bad)
 
     def test_single_step_plan(self):
         plan = SweepPlan(start_deg=0.0, n_steps=1, trials=1)
@@ -170,8 +177,17 @@ class TestRunMeta:
             RunMeta(**{**good, "sphere_radius_mm": None})
         with pytest.raises(ValueError):
             RunMeta(**{**good, "geometry": "flat"})
-        with pytest.raises(ValueError):
-            RunMeta(**{**good, "seed": -1})
+        for bad in (-1, False):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                RunMeta(**{**good, "seed": bad})
+        with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+            RunMeta(**{**good, "kappa": -1.0})
+        with pytest.raises(ValueError, match="working_distance_mm must be finite"):
+            RunMeta(**{**good, "working_distance_mm": float("inf")})
+        with pytest.raises(ValueError, match="radius_mm must be finite"):
+            RunMeta(**{**good, "sphere_radius_mm": float("inf")})
+        with pytest.raises(ValueError, match="unsupported schema_version 2"):
+            RunMeta(**good, schema_version=2)
 
 
 class TestSimulatedPort:

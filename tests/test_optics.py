@@ -19,7 +19,6 @@ from lumispec.optics import (
     _GRID_NM,
     _exponent_on_grid,
     DEFAULT_KAPPA,
-    AngularResponse,
     OpticalConfig,
     Rng,
     angular_attenuation,
@@ -36,12 +35,12 @@ GRID_NM = 400.0 + np.arange(801) * 0.5
 class TestTypes:
     def test_angular_validation(self):
         with pytest.raises(ValueError):
-            AngularResponse(kappa=-1.0)
-        assert AngularResponse(kappa=0.0).kappa == 0.0
+            OpticalConfig(kappa=-1.0)
+        assert OpticalConfig(kappa=0.0).kappa == 0.0
 
     def test_config_has_only_the_recorded_settings(self):
         # Exactly the two settings a run's meta.txt records (kappa, noise_sigma).
-        assert [f.name for f in dataclasses.fields(OpticalConfig)] == ["angular", "noise_sigma"]
+        assert [f.name for f in dataclasses.fields(OpticalConfig)] == ["kappa", "noise_sigma"]
         with pytest.raises(ValueError):
             OpticalConfig(noise_sigma=-0.01)
 
@@ -116,44 +115,38 @@ class TestBaseEmission:
 class TestAngularAttenuation:
     def test_normal_incidence_is_unity(self):
         for kappa in (0.0, 1.0, DEFAULT_KAPPA):
-            a = AngularResponse(kappa=kappa)
-            assert angular_attenuation(600.0, 0.0, a) == 1.0
+            assert angular_attenuation(600.0, 0.0, kappa) == 1.0
 
     def test_pure_cosine_when_kappa_zero(self):
-        a = AngularResponse(kappa=0.0)
         w = np.linspace(400.0, 800.0, 801)
-        att = angular_attenuation(w, math.radians(60.0), a)
+        att = angular_attenuation(w, math.radians(60.0), 0.0)
         assert np.allclose(att, 0.5, rtol=1e-12)
 
     def test_exponent_two_at_band_top(self):
-        a = AngularResponse(kappa=1.0)
-        got = angular_attenuation(750.0, math.radians(60.0), a)
+        got = angular_attenuation(750.0, math.radians(60.0), 1.0)
         assert got == pytest.approx(0.25, rel=1e-12)
 
     def test_exponent_clamped_below_anchor(self):
         # Wavelengths below 450 nm use exponent 1, never less.
-        a = AngularResponse(kappa=2.0)
-        got = angular_attenuation(400.0, math.radians(60.0), a)
+        got = angular_attenuation(400.0, math.radians(60.0), 2.0)
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_in_aoi(self):
-        a = AngularResponse()
         for lam in (450.0, 600.0, 750.0):
             aois = np.linspace(0.0, 1.4, 50)
-            vals = np.array([angular_attenuation(lam, x, a) for x in aois])
+            vals = np.array([angular_attenuation(lam, x, DEFAULT_KAPPA) for x in aois])
             assert np.all(np.diff(vals) < 0.0)
 
     def test_rejects_out_of_range(self):
-        a = AngularResponse()
         with pytest.raises(AoiOutOfRangeError):
-            angular_attenuation(600.0, math.pi / 2.0, a)
+            angular_attenuation(600.0, math.pi / 2.0, DEFAULT_KAPPA)
         with pytest.raises(AoiOutOfRangeError):
-            angular_attenuation(600.0, -0.01, a)
+            angular_attenuation(600.0, -0.01, DEFAULT_KAPPA)
 
 
 class TestSynthesizeSpectrum:
     def test_cosine_scaling_when_kappa_zero(self):
-        cfg = OpticalConfig(noise_sigma=0.0, angular=AngularResponse(kappa=0.0))
+        cfg = OpticalConfig(noise_sigma=0.0, kappa=0.0)
         s0 = synthesize_spectrum(cfg, 0.0, Rng(1))
         s30 = synthesize_spectrum(cfg, math.radians(30.0), Rng(1))
         assert np.allclose(
@@ -228,7 +221,7 @@ class TestSynthesizeSpectrum:
 def reference_spectrum(cfg, aoi_rad, rng):
     """The whole model evaluated per call, as synthesize_spectrum promises."""
     lam = GRID_NM
-    signal = base_emission(lam) * angular_attenuation(lam, aoi_rad, cfg.angular)
+    signal = base_emission(lam) * angular_attenuation(lam, aoi_rad, cfg.kappa)
     return lam, signal + cfg.noise_sigma * rng.standard_normal(lam.size)
 
 
@@ -243,7 +236,7 @@ class TestForwardModelCache:
         "surface", [FlatSurface(), SphereSurface(radius_mm=25.0)], ids=["flat", "convex"]
     )
     def test_bit_equal_to_per_call_formula(self, surface, kappa):
-        cfg = OpticalConfig(angular=AngularResponse(kappa=kappa))
+        cfg = OpticalConfig(kappa=kappa)
         aois = sweep_aois(surface)
         for trial in range(default_plan().trials):
             seed = derive_trial_seed(7, trial)
@@ -257,8 +250,8 @@ class TestForwardModelCache:
     def test_alternating_configs_keep_their_own_models(self):
         configs = [
             OpticalConfig(),
-            OpticalConfig(angular=AngularResponse(kappa=0.0)),
-            OpticalConfig(angular=AngularResponse(kappa=1.25), noise_sigma=0.2),
+            OpticalConfig(kappa=0.0),
+            OpticalConfig(kappa=1.25, noise_sigma=0.2),
         ]
         aoi = math.radians(12.6)
         for _ in range(2):
@@ -267,7 +260,7 @@ class TestForwardModelCache:
                 lam, ref = reference_spectrum(cfg, aoi, Rng(7))
                 assert got.wavelengths_nm.tobytes() == lam.tobytes()
                 assert got.intensities.tobytes() == ref.tobytes()
-        kappas = [cfg.angular.kappa for cfg in configs]
+        kappas = [cfg.kappa for cfg in configs]
         exponents = [_exponent_on_grid(kappa) for kappa in kappas]
         assert all(k is _exponent_on_grid(kappa) for k, kappa in zip(exponents, kappas))
         assert len({id(k) for k in exponents}) == len(configs)

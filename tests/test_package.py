@@ -81,13 +81,28 @@ class TestCalibration:
             calibrate_kappa(kappa_hi=1e-6, threshold=0.5)
 
 
-def test_calibration_runs_once_as_a_module():
-    """``python -m lumispec.calibration`` prints the kappa, with no warning
-    that the package imported the module before it ran as __main__."""
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's package on its path."""
     env = dict(os.environ)
     src = str(Path(lumispec.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "lumispec.calibration"],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_calibration_runs_once_as_a_module():
+    """``python -m lumispec.calibration`` prints the kappa, with no warning
+    that the package imported the module before it ran as __main__."""
+    done = run_fresh("-W", "error", "-m", "lumispec.calibration")
     assert (done.returncode, done.stderr) == (0, "")
     assert f"calibrated kappa:    {DEFAULT_KAPPA!r}" in done.stdout.splitlines()
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    """Every CLI command is a fresh interpreter, so ``import lumispec.cli``
+    must not drag in the XML and network stack (``xml.sax.saxutils`` alone
+    loads ``urllib.request``, ``http.client`` and ``ssl``)."""
+    done = run_fresh("-c", "import sys, lumispec.cli; print(sorted(m for m in "
+                     "('xml.sax', 'urllib.request', 'http.client', 'ssl') "
+                     "if m in sys.modules))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
