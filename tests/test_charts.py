@@ -1,5 +1,6 @@
 """Unit tests for the SVG chart renderer."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -83,6 +84,40 @@ class TestRenderLineChart:
     def test_constant_series_autoranges(self):
         svg = render_line_chart([(X, np.full_like(X, 2.0))])
         ET.fromstring(svg)
+
+    # sha256 of charts the seed-7 goldens in test_golden.py do not draw: no
+    # title or labels, text that needs escaping, and series on two x arrays
+    # with markers and a reference rule.
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            (
+                dict(series=[(X, np.sin(X))]),
+                "aa3d76f0bf20ffc534cc9923dc6a7628eac8d2bf9987e6b6525ce532ad1d5159",
+            ),
+            (
+                dict(
+                    series=[(X, np.sin(X))],
+                    title='a<b & "c"',
+                    x_label='a<b & "c"',
+                    y_label='a<b & "c"',
+                ),
+                "f68c5aaf8ca21ac79c994c12d30a22ed0ace019fd051357fb81eb31c197e0c22",
+            ),
+            (
+                dict(
+                    series=[(X, np.sin(X)), (X, np.cos(X)), (X * 0.5 + 1.0, np.sin(2 * X))],
+                    markers=True,
+                    hline=0.5,
+                ),
+                "8d69fba768a3fe75ce21758846aeef8c68fa62bbb137feb471c75673d7634733",
+            ),
+        ],
+        ids=["bare", "escaped", "two-grids"],
+    )
+    def test_pinned_bytes(self, kwargs, digest):
+        svg = render_line_chart(**kwargs)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 class TestBulkFormatting:
