@@ -2,17 +2,16 @@
 
 The figures this package emits are simple line charts, so the renderer is
 a small deterministic string builder rather than a plotting dependency.
-Contract relied on by callers and tests: every data series becomes exactly
-one ``<polyline>`` element; axes, ticks, and reference rules are drawn
-with ``<line>``. Output is well-formed XML with inline styles only and no
-external references, so the file renders anywhere as-is.
+Every data series becomes exactly one ``<polyline>``; axes, ticks and the
+reference rule are ``<line>`` elements. Output is well-formed XML with
+inline styles only and no external references.
 
-Every coordinate is written as ``f"{v:.2f}"`` with trailing zeros and then
-a trailing point stripped (``_fmt``). Pixel coordinates are computed per
-series as numpy arrays, with the same float operations in the same order
-as for one value, and formatted in one pass per series. The output bytes
-depend only on the inputs; ``tests/test_golden.py`` pins them for the
-seed-7 figures.
+One writer, ``_tag``, writes every element, and every number in it goes
+through ``_fmt``: ``f"{v:.2f}"`` with trailing zeros and then a trailing
+point stripped. Polyline coordinates are computed per series as numpy
+arrays, with the same float operations in the same order as for one value,
+and formatted in one pass (``_fmt_all``). The output bytes depend only on
+the inputs; ``tests/test_golden.py`` pins them for the seed-7 figures.
 """
 
 from __future__ import annotations
@@ -76,6 +75,28 @@ def _to_pixels(v, lo: float, hi: float, start: float, span: float):
     return start + (v - lo) / (hi - lo) * span
 
 
+def _tag(name: str, content: Optional[str] = None, **attrs) -> str:
+    """One SVG element, wrapping ``content`` or, without it, self-closing.
+
+    A number attribute is written by ``_fmt``, a string as given; ``_`` in an
+    attribute name is written as ``-``.
+    """
+    head = name + "".join(
+        f' {k.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"'
+        for k, v in attrs.items()
+    )
+    return f"<{head}/>" if content is None else f"<{head}>{content}</{name}>"
+
+
+def _line(x1, y1, x2, y2, stroke: str = _AXIS, **attrs) -> str:
+    return _tag("line", x1=x1, y1=y1, x2=x2, y2=y2, stroke=stroke, stroke_width=1, **attrs)
+
+
+def _text(text: str, x, y, size, anchor: str = "middle", **attrs) -> str:
+    style = dict(text_anchor=anchor, font_family="sans-serif", font_size=size, fill=_FG)
+    return _tag("text", _escape(text), x=x, y=y, **style, **attrs)
+
+
 def _tick_label(v: float) -> str:
     return f"{v:.6g}"
 
@@ -136,108 +157,54 @@ def render_line_chart(
     x_axis = (x_lo, x_hi, _MARGIN_LEFT, plot_w)
     y_axis = (y_hi, y_lo, _MARGIN_TOP, plot_h)
     x_axis_y = _MARGIN_TOP + plot_h
-    out: list[str] = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
-        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">'
-    )
-    out.append(
-        f'<rect x="0" y="0" width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '
-        f'fill="{_BG}"/>'
-    )
+    x_axis_end = _MARGIN_LEFT + plot_w
+    out = [_tag("rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill=_BG)]
     if title:
-        out.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="{_FG}">'
-            f"{_escape(title)}</text>"
-        )
-
-    out.append(
-        f'<clipPath id="plot-area"><rect x="{_fmt(_MARGIN_LEFT)}" '
-        f'y="{_fmt(_MARGIN_TOP)}" width="{_fmt(plot_w)}" '
-        f'height="{_fmt(plot_h)}"/></clipPath>'
-    )
+        out.append(_text(title, _WIDTH / 2, 24, 15))
+    area = _tag("rect", x=_MARGIN_LEFT, y=_MARGIN_TOP, width=plot_w, height=plot_h)
+    out.append(_tag("clipPath", area, id="plot-area"))
 
     # Axes.
-    out.append(
-        f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(_MARGIN_TOP)}" '
-        f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(x_axis_y)}" '
-        f'stroke="{_AXIS}" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(x_axis_y)}" '
-        f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(x_axis_y)}" '
-        f'stroke="{_AXIS}" stroke-width="1"/>'
-    )
+    out.append(_line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, x_axis_y))
+    out.append(_line(_MARGIN_LEFT, x_axis_y, x_axis_end, x_axis_y))
 
     # Ticks and labels.
     x_ticks = np.linspace(x_lo, x_hi, _N_TICKS)
     for v, px in zip(x_ticks.tolist(), _to_pixels(x_ticks, *x_axis).tolist()):
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(x_axis_y)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(x_axis_y + 5)}" stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(x_axis_y + 20)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="{_FG}">{_escape(_tick_label(v))}</text>'
-        )
+        out.append(_line(px, x_axis_y, px, x_axis_y + 5))
+        out.append(_text(_tick_label(v), px, x_axis_y + 20, 11))
     y_ticks = np.linspace(y_lo, y_hi, _N_TICKS)
     for v, py in zip(y_ticks.tolist(), _to_pixels(y_ticks, *y_axis).tolist()):
-        out.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(py)}" '
-            f'stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 9)}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="{_FG}">{_escape(_tick_label(v))}</text>'
-        )
+        out.append(_line(_MARGIN_LEFT - 5, py, _MARGIN_LEFT, py))
+        out.append(_text(_tick_label(v), _MARGIN_LEFT - 9, py + 4, 11, "end"))
     if x_label:
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
-            f'y="{_fmt(_HEIGHT - 14)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" fill="{_FG}">'
-            f"{_escape(x_label)}</text>"
-        )
+        out.append(_text(x_label, _MARGIN_LEFT + plot_w / 2, _HEIGHT - 14, 13))
     if y_label:
         cx, cy = 18.0, _MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" fill="{_FG}" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
-            f"{_escape(y_label)}</text>"
-        )
+        rotate = f"rotate(-90 {_fmt(cx)} {_fmt(cy)})"
+        out.append(_text(y_label, cx, cy, 13, transform=rotate))
 
     # Reference rule, drawn under the data.
     if hline is not None:
         py = _to_pixels(float(hline), *y_axis)
-        out.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(py)}" '
-            f'stroke="{_RULE}" stroke-width="1" stroke-dasharray="6 4"/>'
-        )
+        out.append(_line(_MARGIN_LEFT, py, x_axis_end, py, _RULE, stroke_dasharray="6 4"))
 
-    out.append('<g clip-path="url(#plot-area)">')
-    n = len(data)
+    plotted = []
     shared_x = xs = None
     for i, (xa, ya) in enumerate(data):
-        color = _series_color(i, n)
+        color = _series_color(i, len(data))
         # Spectra charts pass one grid for every series: format it once.
         if shared_x is None or not np.array_equal(xa, shared_x):
             shared_x, xs = xa, _fmt_all(_to_pixels(xa, *x_axis))
         ys = _fmt_all(_to_pixels(ya, *y_axis))
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{" ".join(map(",".join, zip(xs, ys)))}"/>'
-        )
+        points = " ".join(map(",".join, zip(xs, ys)))
+        style = dict(fill="none", stroke=color, stroke_width=1.5)
+        plotted.append(_tag("polyline", **style, points=points))
         if markers:
-            out.extend(
-                f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>'
-                for px, py in zip(xs, ys)
+            plotted.extend(
+                _tag("circle", cx=px, cy=py, r=2.5, fill=color) for px, py in zip(xs, ys)
             )
-    out.append("</g>")
-    out.append("</svg>")
-    out.append("")  # ends the document with a newline without copying it
-    return "\n".join(out)
+    out.append(_tag("g", "\n".join(["", *plotted, ""]), clip_path="url(#plot-area)"))
+    view = " ".join(map(_fmt, (0, 0, _WIDTH, _HEIGHT)))
+    svg = dict(xmlns="http://www.w3.org/2000/svg", width=_WIDTH, height=_HEIGHT, viewBox=view)
+    return _tag("svg", "\n".join(["", *out, ""]), **svg) + "\n"

@@ -20,7 +20,7 @@ import numpy as np
 from . import dataio
 from .charts import render_line_chart
 from .engine import AcquisitionPort, SimulatedPort, SweepPlan, run_triplicate
-from .errors import DataIoError, LayoutError, LumispecError, NonPositiveAucError
+from .errors import DataIoError, LumispecError, NonPositiveAucError
 from .geometry import FlatSurface, PivotGeometry, SphereSurface, SurfaceModel
 from .optics import OpticalConfig
 from .spectral import (
@@ -246,8 +246,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_export_svg(args: argparse.Namespace) -> int:
     if args.which in ("spectra", "spectra-smoothed"):
-        if args.run is None:
-            raise LayoutError(f"--which {args.which} requires --run")
         records = dataio.read_run(args.run)
         grid = records[0].spectra.wavelengths_nm
         smoothed = args.which == "spectra-smoothed"
@@ -268,8 +266,6 @@ def cmd_export_svg(args: argparse.Namespace) -> int:
             x_range=(400.0, 800.0),
         )
     else:
-        if args.profile is None:
-            raise LayoutError("--which profile requires --profile")
         angles, mean, _std, _n = dataio.read_profile(args.profile)
         svg = render_line_chart(
             [(angles, mean)],
@@ -300,6 +296,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error("--geometry convex requires --sphere-radius-mm")
             if args.geometry == "flat" and args.sphere_radius_mm is not None:
                 parser.error("--sphere-radius-mm is only valid with --geometry convex")
+        if args.command == "export-svg":
+            if args.which == "profile" and args.profile is None:
+                parser.error("--which profile requires --profile")
+            if args.which != "profile" and args.run is None:
+                parser.error(f"--which {args.which} requires --run")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

@@ -24,8 +24,7 @@ Spectrum files are written by one encoder, ``_encode_spectra``, which
 file. It writes each ``%.9e`` cell with exact float arithmetic, so its
 bytes are those %-formatting writes; a cell it cannot prove so (next to a
 decimal tie or a misjudged decade, zero, or outside 1e-13..1e32) is
-written by ``"%.9e" % v`` itself. A 3x21 run is written in ~10-15 ms
-instead of ~27-37 ms (in-process ``write_run``, 2-core x86-64 host).
+written by ``"%.9e" % v`` itself.
 
 Spectrum files in the exact form ``write_run`` writes are decoded with
 exact integer arithmetic, ``read_run`` taking them a chunk of files at a

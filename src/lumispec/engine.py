@@ -10,6 +10,7 @@ trials share nothing mutable.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -61,7 +62,7 @@ class SweepPlan:
     def __post_init__(self) -> None:
         for name in ("start_deg", "step_deg", "settle_s"):
             value = getattr(self, name)
-            if not -np.inf < value < np.inf:
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         _check_int("n_steps", self.n_steps, 1)
         _check_int("trials", self.trials, 1)

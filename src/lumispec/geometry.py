@@ -22,6 +22,7 @@ than a flat one at the same motor angle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,7 +36,7 @@ class PivotGeometry:
     working_distance_mm: float = 17.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.working_distance_mm < math.inf:
+        if not 0 < self.working_distance_mm <= sys.float_info.max:
             raise ValueError("working_distance_mm must be finite and positive")
 
 
@@ -51,7 +52,7 @@ class SphereSurface:
     radius_mm: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.radius_mm < math.inf:
+        if not 0 < self.radius_mm <= sys.float_info.max:
             raise ValueError("radius_mm must be finite and positive")
 
 

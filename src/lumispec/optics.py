@@ -28,6 +28,7 @@ bit-identical to the per-call formula
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,7 @@ class OpticalConfig:
     def __post_init__(self) -> None:
         for name in ("kappa", "noise_sigma"):
             value = getattr(self, name)
-            if not 0 <= value < np.inf:
+            if not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite and non-negative")
 
 

@@ -17,6 +17,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,7 +81,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("norm_cutoff_nm", "auc_lo_nm", "auc_hi_nm"):
-            if not -np.inf < getattr(self, name) < np.inf:
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite")
         if not self.auc_lo_nm < self.auc_hi_nm:
             raise ValueError("auc_lo_nm must be below auc_hi_nm")

@@ -390,7 +390,7 @@ class TestExportSvg:
             capsys, "export-svg", "--which", "spectra",
             "--out", str(tmp_path / "x.svg"),
         )
-        assert rc == 1
+        assert rc == 2
         assert "--run" in err
 
     def test_profile_without_profile(self, capsys, tmp_path):
@@ -398,7 +398,7 @@ class TestExportSvg:
             capsys, "export-svg", "--which", "profile",
             "--out", str(tmp_path / "x.svg"),
         )
-        assert rc == 1
+        assert rc == 2
         assert "--profile" in err
 
     def test_out_in_missing_directory(self, capsys, tmp_path, flat_run):

@@ -69,7 +69,7 @@ class TestSweepPlan:
         with pytest.raises(ValueError):
             SweepPlan(settle_s=-0.5)
         for name in ("start_deg", "step_deg", "settle_s"):
-            for bad in (float("inf"), float("-inf"), float("nan")):
+            for bad in (float("inf"), float("-inf"), float("nan"), 10**400, -(10**400)):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     SweepPlan(**{name: bad})
         for bad in (21.0, True):
@@ -182,8 +182,9 @@ class TestRunMeta:
                 RunMeta(**{**good, "seed": bad})
         with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
             RunMeta(**{**good, "kappa": -1.0})
-        with pytest.raises(ValueError, match="working_distance_mm must be finite"):
-            RunMeta(**{**good, "working_distance_mm": float("inf")})
+        for bad in (float("inf"), 10**400):
+            with pytest.raises(ValueError, match="working_distance_mm must be finite"):
+                RunMeta(**{**good, "working_distance_mm": bad})
         with pytest.raises(ValueError, match="radius_mm must be finite"):
             RunMeta(**{**good, "sphere_radius_mm": float("inf")})
         with pytest.raises(ValueError, match="unsupported schema_version 2"):

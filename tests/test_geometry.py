@@ -27,13 +27,13 @@ MISS_BOUNDARY_DEG = math.degrees(math.asin(25.0 / 42.0))  # 36.5296...
 
 class TestTypes:
     def test_pivot_validation(self):
-        for bad in (0.0, float("inf"), float("nan")):
+        for bad in (0.0, float("inf"), float("nan"), 10**400, -(10**400)):
             with pytest.raises(ValueError, match="working_distance_mm must be finite"):
                 PivotGeometry(working_distance_mm=bad)
         assert PivotGeometry().working_distance_mm == 17.0
 
     def test_sphere_validation(self):
-        for bad in (-1.0, float("inf"), float("nan")):
+        for bad in (-1.0, float("inf"), float("nan"), 10**400, -(10**400)):
             with pytest.raises(ValueError, match="radius_mm must be finite"):
                 SphereSurface(radius_mm=bad)
 

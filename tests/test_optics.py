@@ -34,8 +34,9 @@ GRID_NM = 400.0 + np.arange(801) * 0.5
 
 class TestTypes:
     def test_angular_validation(self):
-        with pytest.raises(ValueError):
-            OpticalConfig(kappa=-1.0)
+        for bad in (-1.0, 10**400, -(10**400)):
+            with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+                OpticalConfig(kappa=bad)
         assert OpticalConfig(kappa=0.0).kappa == 0.0
 
     def test_config_has_only_the_recorded_settings(self):
@@ -44,7 +45,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             OpticalConfig(noise_sigma=-0.01)
 
-    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -1.0])
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            float("inf"),
+            float("nan"),
+            -1.0,
+            pytest.param(10**400, id="1e400"),
+            pytest.param(-(10**400), id="-1e400"),
+        ],
+    )
     def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
             OpticalConfig(noise_sigma=sigma)

@@ -82,7 +82,7 @@ class TestPipelineConfig:
             PipelineConfig(auc_lo_nm=750.0, auc_hi_nm=450.0)
         # Every bound must be finite, even where the order would hold.
         for name in ("norm_cutoff_nm", "auc_lo_nm", "auc_hi_nm"):
-            for value in (float("inf"), float("-inf"), float("nan")):
+            for value in (float("inf"), float("-inf"), float("nan"), 10**400, -(10**400)):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     PipelineConfig(**{name: value})
 
