@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true",
         help="write into a non-empty output directory",
     )
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, parser=p_sim)
 
     p_ana = sub.add_parser(
         "analyze", help="run the AUC pipeline over a run directory"
@@ -110,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--pooling", choices=("per-trial", "pooled"), default="per-trial",
         help="normalize each trial by its own max, or all trials by one max",
     )
-    p_ana.set_defaults(func=cmd_analyze)
+    p_ana.set_defaults(func=cmd_analyze, parser=p_ana)
 
     p_rep = sub.add_parser("report", help="summarize a profile.csv")
     p_rep.add_argument("--profile", required=True)
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_report, parser=p_rep)
 
     p_svg = sub.add_parser("export-svg", help="render a run or profile to SVG")
     p_svg.add_argument("--run", default=None)
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="spectra = as recorded; spectra-smoothed = normalized and smoothed",
     )
-    p_svg.set_defaults(func=cmd_export_svg)
+    p_svg.set_defaults(func=cmd_export_svg, parser=p_svg)
 
     return parser
 
@@ -286,21 +286,22 @@ def cmd_export_svg(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        # Errors in a subcommand's flags print that subcommand's usage line.
+        sub = args.parser
         if args.command == "simulate":
             if args.seed is None:
-                args.seed = _default_seed(parser)
+                args.seed = _default_seed(sub)
             if args.geometry == "convex" and args.sphere_radius_mm is None:
-                parser.error("--geometry convex requires --sphere-radius-mm")
+                sub.error("--geometry convex requires --sphere-radius-mm")
             if args.geometry == "flat" and args.sphere_radius_mm is not None:
-                parser.error("--sphere-radius-mm is only valid with --geometry convex")
+                sub.error("--sphere-radius-mm is only valid with --geometry convex")
         if args.command == "export-svg":
             if args.which == "profile" and args.profile is None:
-                parser.error("--which profile requires --profile")
+                sub.error("--which profile requires --profile")
             if args.which != "profile" and args.run is None:
-                parser.error(f"--which {args.which} requires --run")
+                sub.error(f"--which {args.which} requires --run")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

@@ -56,7 +56,7 @@ from .errors import (
     NonMonotonicWavelengthError,
     SpectrumParseError,
 )
-from .spectral import Spectrum
+from .spectral import Spectrum, _trust
 
 PathLike = Union[str, os.PathLike]
 
@@ -655,7 +655,8 @@ def read_run(run_dir: PathLike) -> list[SweepRecord]:
         chunk = names[start:start + _CHUNK_FILES]
         decoded = _decode_spectra(_read_chunk(out, chunk))
         if decoded is not None and (grid is None or np.array_equal(decoded[0], grid)):
-            grid = decoded[0] if grid is None else grid
+            # The decoder proved the grid finite and strictly increasing.
+            grid = _trust(decoded[0]) if grid is None else grid
             rows.extend(decoded[1])
             continue
         # Read the chunk again file by file, as the reference does, so a bad

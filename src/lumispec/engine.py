@@ -94,6 +94,19 @@ class ScanPhase(Enum):
     COMPLETE = "complete"
     FAULTED = "faulted"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality and costs no Python-level call per lookup.
+    __hash__ = object.__hash__
+
+
+# The payload field each phase requires; the others carry none.
+_PAYLOAD_FIELDS = ("target_deg", "index", "cause")
+_PAYLOAD_OF = {
+    ScanPhase.MOVING: "target_deg",
+    ScanPhase.ACQUIRING: "index",
+    ScanPhase.FAULTED: "cause",
+}
+
 
 @dataclass(frozen=True)
 class ScanState:
@@ -105,12 +118,8 @@ class ScanState:
     cause: Optional[str] = None
 
     def __post_init__(self) -> None:
-        want = {
-            ScanPhase.MOVING: "target_deg",
-            ScanPhase.ACQUIRING: "index",
-            ScanPhase.FAULTED: "cause",
-        }.get(self.phase)
-        for field in ("target_deg", "index", "cause"):
+        want = _PAYLOAD_OF.get(self.phase)
+        for field in _PAYLOAD_FIELDS:
             value = getattr(self, field)
             if field == want and value is None:
                 raise ValueError(f"{self.phase.value} state requires {field}")
@@ -365,8 +374,9 @@ def run_sweep(
         machine.transition(ScanState.acquiring(i))
         try:
             spectrum = port.acquire()
-            if spectra and not np.array_equal(spectrum.wavelengths_nm,
-                                              spectra[0].wavelengths_nm):
+            grid = spectrum.wavelengths_nm
+            if spectra and grid is not spectra[0].wavelengths_nm and not np.array_equal(
+                    grid, spectra[0].wavelengths_nm):
                 raise PortError("spectrum is not on the wavelength grid of step 0")
         except LumispecError as exc:
             machine.transition(ScanState.faulted(str(exc)))

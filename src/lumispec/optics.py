@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AoiOutOfRangeError
-from .spectral import Spectrum
+from .spectral import Spectrum, _trust
 
 # Frozen output of lumispec.calibration.calibrate_kappa() with all-default
 # geometry and optics; see that module for the procedure.
@@ -142,8 +142,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 # The grid by index arithmetic, not accumulation, so its values are
-# bit-stable; and the base emission on it.
-_GRID_NM = _read_only(400.0 + np.arange(801) * 0.5)
+# bit-stable, registered so that each Spectrum on it skips the grid checks;
+# and the base emission on it.
+_GRID_NM = _trust(400.0 + np.arange(801) * 0.5)
 _BASE_EMISSION = _read_only(base_emission(_GRID_NM))
 
 

@@ -13,11 +13,17 @@ Per-angle AUC values are then max-normalized across the sweep to form an
 
 All operations are pure; :class:`Spectrum` and :class:`AucProfile` are
 immutable after construction and safe to share across threads.
+
+A grid is copied and checked once: every :class:`Spectrum` holds its grid as
+a float64 view over ``bytes``, which numpy will not make writeable, and a
+small bounded registry of such grids lets a later :class:`Spectrum` skip the
+checks, and the pipeline keep its cutoff and band selections, by identity.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,14 +37,75 @@ from .errors import (
     NoSampleAboveCutoffError,
 )
 
+
+def _over_bytes(values) -> bool:
+    """Whether ``values`` is a float64 array over ``bytes``. numpy refuses to
+    make such a view writeable, so its values can never change; an owning
+    array with ``write=False`` can be flipped back."""
+    return (isinstance(values, np.ndarray) and type(values.base) is bytes
+            and values.dtype == np.float64 and values.flags.c_contiguous)
+
+
 def _frozen_array(values, name: str, max_ndim: int = 1) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = values if _over_bytes(values) else np.array(values, dtype=float)
     if not 1 <= arr.ndim <= max_ndim:
         raise ValueError(f"{name} must have 1 to {max_ndim} dimensions, got {arr.ndim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
+
+
+# Grids already checked to be 1-D, finite, strictly increasing and at least 2
+# samples long, by id, each with what the pipeline derived from it: the
+# samples above each cutoff, and the samples and widths of each band. Each
+# grid is over bytes, so it cannot change while it is held here, and holding
+# it keeps its id from being reused. The oldest grid is evicted first, with
+# its derived data.
+_TRUSTED: dict[int, tuple[np.ndarray, dict]] = {}
+_TRUSTED_GRIDS = 8
+_DERIVED_PER_GRID = 8
+_TRUST_LOCK = threading.Lock()
+
+
+def _trust(grid: np.ndarray) -> np.ndarray:
+    """Register a grid already checked as above; return the registered array:
+    ``grid`` itself when it is over bytes, else a copy that is."""
+    if not _over_bytes(grid):
+        grid = np.frombuffer(np.ascontiguousarray(grid, np.float64).tobytes())
+    with _TRUST_LOCK:
+        _TRUSTED[id(grid)] = (grid, {})
+        while len(_TRUSTED) > _TRUSTED_GRIDS:
+            del _TRUSTED[next(iter(_TRUSTED))]
+    return grid
+
+
+def _derived(grid, *key) -> dict | None:
+    """The derived data of ``grid`` when it is a registered grid and every
+    part of ``key`` is a plain number, else None."""
+    entry = _TRUSTED.get(id(grid))
+    if entry is None or entry[0] is not grid:
+        return None
+    for part in key:
+        if not isinstance(part, (int, float)):
+            return None
+    return entry[1]
+
+
+def _run(mask: np.ndarray) -> slice:
+    """The samples a mask selects on a registered grid, where they form one
+    run, as a slice: indexing by it makes a view, not a copy."""
+    at = np.flatnonzero(mask)
+    return slice(int(at[0]), int(at[-1]) + 1)
+
+
+def _remember(derived: dict, key, value):
+    """Store ``value`` under ``key``, evicting the oldest key at the bound."""
+    with _TRUST_LOCK:
+        if len(derived) >= _DERIVED_PER_GRID:
+            del derived[next(iter(derived))]
+        derived[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,14 +122,19 @@ class Spectrum:
     intensities: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _frozen_array(self.wavelengths_nm, "wavelengths_nm")
+        w = self.wavelengths_nm
+        trusted = _derived(w) is not None
+        if not trusted:
+            w = _frozen_array(w, "wavelengths_nm")
         i = _frozen_array(self.intensities, "intensities", max_ndim=2)
         if w.size != i.shape[-1]:
             raise ValueError("wavelengths_nm and intensities must have equal length")
-        if w.size < 2:
-            raise ValueError("a spectrum needs at least 2 samples")
-        if not (w[1:] > w[:-1]).all():
-            raise ValueError("wavelengths_nm must be strictly increasing")
+        if not trusted:
+            if w.size < 2:
+                raise ValueError("a spectrum needs at least 2 samples")
+            if not (w[1:] > w[:-1]).all():
+                raise ValueError("wavelengths_nm must be strictly increasing")
+            w = _trust(w)
         object.__setattr__(self, "wavelengths_nm", w)
         object.__setattr__(self, "intensities", i)
 
@@ -85,6 +157,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be finite")
         if not self.auc_lo_nm < self.auc_hi_nm:
             raise ValueError("auc_lo_nm must be below auc_hi_nm")
+
+
+_DEFAULT_PIPELINE = PipelineConfig()
 
 
 @dataclass(frozen=True)
@@ -141,15 +216,23 @@ def normalize_above_cutoff(
     ``NonPositiveMaxError`` when a would-be normalizer is <= 0; its ``row``
     is the flat index of the first such spectrum (0 for one spectrum).
     """
-    mask = wavelengths_nm > cutoff_nm
-    if not mask.any():
-        raise NoSampleAboveCutoffError(
-            f"no sample above cutoff {cutoff_nm:g} nm "
-            f"(grid ends at {wavelengths_nm[-1]:g} nm)"
-        )
-    peak = intensities[..., mask].max(axis=-1, keepdims=True)
+    derived = _derived(wavelengths_nm, cutoff_nm)
+    above = derived.get(cutoff_nm) if derived is not None else None
+    if above is None:
+        above = wavelengths_nm > cutoff_nm
+        if not above.any():
+            raise NoSampleAboveCutoffError(
+                f"no sample above cutoff {cutoff_nm:g} nm "
+                f"(grid ends at {wavelengths_nm[-1]:g} nm)"
+            )
+        if derived is not None:
+            above = _remember(derived, cutoff_nm, _run(above))
+    peak = intensities[..., above].max(axis=-1, keepdims=True)
     bad = np.flatnonzero(peak <= 0.0)
     if bad.size:
+        # The same rows fail on a slice; the message gives the value of the
+        # mask's reduction, whose order can set the sign of a zero.
+        peak = intensities[..., wavelengths_nm > cutoff_nm].max(axis=-1, keepdims=True)
         raise NonPositiveMaxError(
             f"max intensity above {cutoff_nm:g} nm is {peak.flat[bad[0]]:g}; "
             "cannot normalize",
@@ -181,15 +264,23 @@ def trapz_band(
     """
     if not lo_nm < hi_nm:
         raise EmptyBandError(f"band [{lo_nm:g}, {hi_nm:g}] nm is empty")
-    mask = (wavelengths_nm >= lo_nm) & (wavelengths_nm <= hi_nm)
-    if int(mask.sum()) < 2:
-        raise EmptyBandError(
-            f"band [{lo_nm:g}, {hi_nm:g}] nm contains fewer than 2 samples"
-        )
+    derived = _derived(wavelengths_nm, lo_nm, hi_nm)
+    band = derived.get((lo_nm, hi_nm)) if derived is not None else None
+    if band is None:
+        mask = (wavelengths_nm >= lo_nm) & (wavelengths_nm <= hi_nm)
+        if int(mask.sum()) < 2:
+            raise EmptyBandError(
+                f"band [{lo_nm:g}, {hi_nm:g}] nm contains fewer than 2 samples"
+            )
+        band = (mask, np.diff(wavelengths_nm[mask]))
+        if derived is not None:
+            band = _remember(derived, (lo_nm, hi_nm), (_run(mask), band[1]))
+    part, widths = band
     # A masked stack is not C-contiguous; summing strided rows would lose
     # np.trapezoid's pairwise summation and drift ~1e-13 from one spectrum alone.
-    y = np.ascontiguousarray(intensities[..., mask])
-    area = (np.diff(wavelengths_nm[mask]) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
+    # The copy also gives a slice's values the masked copy's layout.
+    y = np.ascontiguousarray(intensities[..., part])
+    area = (widths * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
     return float(area) if area.ndim == 0 else area
 
 
@@ -200,7 +291,7 @@ def run_pipeline(s: Spectrum, cfg: PipelineConfig | None = None) -> float | np.n
     Invariant under positive pointwise scaling of the input, since the
     normalization step cancels any common factor.
     """
-    cfg = cfg if cfg is not None else PipelineConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_PIPELINE
     w = s.wavelengths_nm
     normalized = normalize_above_cutoff(w, s.intensities, cfg.norm_cutoff_nm)
     return trapz_band(w, smooth_window2(normalized), cfg.auc_lo_nm, cfg.auc_hi_nm)

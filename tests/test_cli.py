@@ -61,6 +61,17 @@ class TestSimulate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--geometry", "convex"),
+        ("--geometry", "flat", "--sphere-radius-mm", "25.0"),
+    ], ids=["convex-without-radius", "flat-with-radius"])
+    def test_radius_errors_print_simulate_usage(self, capsys, tmp_path, flags):
+        rc, _, err = run_cli(capsys, "simulate", *flags, "--out", str(tmp_path / "run"))
+        assert rc == 2
+        assert err.startswith("usage: lumispec simulate ")
+        assert "--sphere-radius-mm" in err.splitlines()[-1]
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_flag(self, capsys, tmp_path):
         rc, _, _ = simulate_flat(capsys, tmp_path / "run", "--turbo")
         assert rc == 2
@@ -400,6 +411,20 @@ class TestExportSvg:
         )
         assert rc == 2
         assert "--profile" in err
+
+    @pytest.mark.parametrize("which, needs", [
+        ("spectra", "--which spectra requires --run"),
+        ("spectra-smoothed", "--which spectra-smoothed requires --run"),
+        ("profile", "--which profile requires --profile"),
+    ], ids=["spectra", "spectra-smoothed", "profile"])
+    def test_paired_flag_errors_print_export_svg_usage(self, capsys, tmp_path, which, needs):
+        rc, _, err = run_cli(
+            capsys, "export-svg", "--which", which, "--out", str(tmp_path / "x.svg"),
+        )
+        assert rc == 2
+        assert err.startswith("usage: lumispec export-svg ")
+        assert err.splitlines()[-1] == f"lumispec export-svg: error: {needs}"
+        assert not (tmp_path / "x.svg").exists()
 
     def test_out_in_missing_directory(self, capsys, tmp_path, flat_run):
         svg = tmp_path / "no-such-dir" / "x.svg"

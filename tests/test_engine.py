@@ -1,6 +1,8 @@
 """Unit tests for the sweep plan, state machine, ports, and trial runners."""
 
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +109,14 @@ class TestScanState:
         with pytest.raises(ValueError):
             ScanState(ScanPhase.COMPLETE, cause="nope")
 
+    def test_payload_messages(self):
+        with pytest.raises(ValueError, match="^moving state requires target_deg$"):
+            ScanState(ScanPhase.MOVING)
+        with pytest.raises(ValueError, match="^faulted state cannot carry index$"):
+            ScanState(ScanPhase.FAULTED, index=2, cause="x")
+        with pytest.raises(ValueError, match="^idle state cannot carry target_deg$"):
+            ScanState(ScanPhase.IDLE, target_deg=1.0)
+
 
 LEGAL = {
     (ScanPhase.IDLE, ScanPhase.HOMING),
@@ -148,6 +158,31 @@ class TestTransitions:
         with pytest.raises(IllegalTransitionError):
             m.transition(ScanState.moving(0.0))
         assert m.state.phase is ScanPhase.IDLE
+
+    def test_phases_are_singletons_that_pickle_to_themselves(self):
+        for phase in ScanPhase:
+            assert pickle.loads(pickle.dumps(phase)) is phase
+            assert ScanPhase(phase.value) is phase
+        assert len({*ScanPhase, *ScanPhase}) == len(ScanPhase)
+
+    def test_transition_runs_no_python_level_hash(self):
+        calls = []
+
+        def record(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        m = ScanStateMachine()
+        sys.setprofile(record)
+        try:
+            m.transition(ScanState.homing())
+            m.transition(ScanState.moving(0.0))
+            m.transition(ScanState.acquiring(0))
+            m.transition(ScanState.complete())
+        finally:
+            sys.setprofile(None)
+        assert m.state.phase is ScanPhase.COMPLETE
+        assert "__hash__" not in calls
 
     def test_machine_faulted_is_terminal(self):
         m = ScanStateMachine()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lumispec import spectral
 from lumispec.errors import (
     EmptyBandError,
     LengthMismatchError,
@@ -68,6 +69,70 @@ class TestSpectrumType:
         s = spectrum([500.0, 501.0], raw)
         raw[0] = 99.0
         assert s.intensities[0] == 1.0
+
+
+def read_only(values):
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+class TestGridTrust:
+    """A Spectrum holds its grid as a view over bytes and registers it, so a
+    later Spectrum on it and the pipeline skip the checks and masks."""
+
+    def test_caller_arrays_do_not_reach_the_spectrum(self):
+        w, i = grid(), np.ones(801)
+        s = Spectrum(w, i)
+        w[:] = 0.0
+        i[:] = 5.0
+        assert s.wavelengths_nm.tolist() == grid().tolist()
+        assert s.intensities.tolist() == [1.0] * 801
+
+    def test_grid_cannot_be_made_writeable(self):
+        from lumispec.optics import OpticalConfig, Rng, synthesize_spectrum
+
+        mine = Spectrum(grid(), np.ones(801))
+        for s in (mine, Spectrum(mine.wavelengths_nm, np.zeros(801)),
+                  synthesize_spectrum(OpticalConfig(), 0.1, Rng(0))):
+            with pytest.raises(ValueError):
+                s.wavelengths_nm.setflags(write=True)
+            with pytest.raises(ValueError):
+                s.wavelengths_nm[0] = 0.0
+
+    @pytest.mark.parametrize("values, message", [
+        ([500.0, 500.0], "wavelengths_nm must be strictly increasing"),
+        ([501.0, 500.0], "wavelengths_nm must be strictly increasing"),
+        ([500.0, np.nan], "wavelengths_nm must be finite"),
+        ([500.0, np.inf], "wavelengths_nm must be finite"),
+        ([500.0], "a spectrum needs at least 2 samples"),
+    ])
+    def test_read_only_caller_grid_is_checked(self, values, message):
+        owning = read_only(values)
+        over_bytes = np.frombuffer(np.array(values, dtype=float).tobytes())
+        for w in (owning, over_bytes, owning):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Spectrum(w, np.ones(len(values)))
+
+    def test_registry_and_derived_data_stay_bounded(self):
+        for k in range(50):
+            s = Spectrum(grid() + k / 1024, np.ones(801))
+            for cutoff in range(450, 462):
+                normalize_above_cutoff(s.wavelengths_nm, s.intensities, float(cutoff))
+                trapz_band(s.wavelengths_nm, s.intensities, float(cutoff), 750.0)
+            assert len(spectral._TRUSTED) <= spectral._TRUSTED_GRIDS
+            for _, derived in spectral._TRUSTED.values():
+                assert len(derived) <= spectral._DERIVED_PER_GRID
+
+    def test_evicted_grid_is_registered_again_as_itself(self):
+        from lumispec.optics import _GRID_NM
+
+        for k in range(spectral._TRUSTED_GRIDS + 1):
+            Spectrum(grid() + k / 1024, np.ones(801))
+        assert spectral._derived(_GRID_NM) is None
+        s = Spectrum(_GRID_NM, np.ones(801))
+        assert s.wavelengths_nm is _GRID_NM
+        assert spectral._derived(_GRID_NM) is not None
 
 
 class TestPipelineConfig:
@@ -252,6 +317,95 @@ class TestRunPipeline:
         s = spectrum(w, np.ones(w.size))
         cfg = PipelineConfig(auc_lo_nm=500.0, auc_hi_nm=600.0)
         assert run_pipeline(s, cfg) == pytest.approx(100.0, abs=1e-9)
+
+
+# The default, then a second cutoff and band, then the first band on the
+# second cutoff, so that a mixed-up cache key changes some AUC.
+CACHE_CONFIGS = (
+    PipelineConfig(),
+    PipelineConfig(norm_cutoff_nm=500.0, auc_lo_nm=460.0, auc_hi_nm=700.0),
+    PipelineConfig(norm_cutoff_nm=500.0, auc_lo_nm=450.0, auc_hi_nm=750.0),
+)
+
+
+def pipeline_on_copy(w, intensities, cfg):
+    """run_pipeline's steps on a writeable copy of the grid, which is never
+    registered, so every mask is computed afresh."""
+    w = w.copy()
+    normalized = normalize_above_cutoff(w, intensities, cfg.norm_cutoff_nm)
+    return trapz_band(w, smooth_window2(normalized), cfg.auc_lo_nm, cfg.auc_hi_nm)
+
+
+class TestCachedMasks:
+    @pytest.fixture(scope="class", params=[None, 25.0], ids=["flat", "convex"])
+    def records(self, request):
+        from lumispec.engine import SimulatedPort, default_plan, run_triplicate
+        from lumispec.geometry import SphereSurface
+
+        surface = SphereSurface(radius_mm=request.param) if request.param else None
+        return run_triplicate(
+            default_plan(), lambda t, seed: SimulatedPort(surface=surface, seed=seed), 7
+        )
+
+    def test_aucs_bit_equal_on_registered_grid_and_copy(self, records):
+        for cfg in CACHE_CONFIGS + CACHE_CONFIGS[::-1]:
+            for record in records:
+                stack = record.spectra
+                assert spectral._derived(stack.wavelengths_nm) is not None
+                expected = pipeline_on_copy(stack.wavelengths_nm, stack.intensities, cfg)
+                assert run_pipeline(stack, cfg).tobytes() == expected.tobytes()
+                alone = [run_pipeline(s, cfg) for _, s in record.entries]
+                assert np.array(alone).tobytes() == expected.tobytes()
+
+    def test_default_config_is_the_default(self, records):
+        s = records[0].entries[5][1]
+        assert run_pipeline(s) == run_pipeline(s, PipelineConfig())
+
+    @staticmethod
+    def raised(call):
+        with pytest.raises(Exception) as info:
+            call()
+        return type(info.value), str(info.value), getattr(info.value, "row", None)
+
+    @pytest.mark.parametrize("case", ["cutoff", "max", "band", "empty"])
+    def test_errors_unchanged_on_registered_grid(self, case):
+        s = Spectrum(grid(), np.ones((3, 801)))
+        w, copy = s.wavelengths_nm, s.wavelengths_nm.copy()
+        stack = np.ones((3, 801))
+        stack[1] = -1.0
+        calls = {
+            "cutoff": lambda g: normalize_above_cutoff(g, s.intensities, 800.0),
+            "max": lambda g: normalize_above_cutoff(g, stack, 450.0),
+            "band": lambda g: trapz_band(g, s.intensities, 400.1, 400.4),
+            "empty": lambda g: trapz_band(g, s.intensities, 700.0, 700.0),
+        }
+        expected = {
+            "cutoff": (NoSampleAboveCutoffError,
+                       "no sample above cutoff 800 nm (grid ends at 800 nm)", None),
+            "max": (NonPositiveMaxError,
+                    "max intensity above 450 nm is -1; cannot normalize", 1),
+            "band": (EmptyBandError,
+                     "band [400.1, 400.4] nm contains fewer than 2 samples", None),
+            "empty": (EmptyBandError, "band [700, 700] nm is empty", None),
+        }[case]
+        call = calls[case]
+        assert spectral._derived(w) is not None
+        assert self.raised(lambda: call(copy)) == expected
+        # Twice: once filling the grid's cache, once reading it.
+        assert self.raised(lambda: call(w)) == expected
+        assert self.raised(lambda: call(w)) == expected
+
+    def test_non_positive_max_message_keeps_the_sign_of_zero(self):
+        # The slice and the mask reduce a stack in different orders, which can
+        # pick a different zero; the message must still be the mask's.
+        w = Spectrum(grid(), np.ones(801)).wavelengths_nm
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            stack = rng.choice([-0.0, 0.0, -1.0], size=(3, 801))
+            found = [self.raised(lambda g=g: normalize_above_cutoff(g, stack, 450.0))
+                     for g in (w.copy(), w, w)]
+            assert found[0][0] is NonPositiveMaxError
+            assert found[1] == found[0] and found[2] == found[0]
 
 
 class TestAucProfile:
