@@ -6,12 +6,12 @@ Every data series becomes exactly one ``<polyline>``; axes, ticks and the
 reference rule are ``<line>`` elements. Output is well-formed XML with
 inline styles only and no external references.
 
-One writer, ``_tag``, writes every element, and every number in it goes
-through ``_fmt``: ``f"{v:.2f}"`` with trailing zeros and then a trailing
-point stripped. Polyline coordinates are computed per series as numpy
-arrays, with the same float operations in the same order as for one value,
-and formatted in one pass (``_fmt_all``). The output bytes depend only on
-the inputs; ``tests/test_golden.py`` pins them for the seed-7 figures.
+One writer, ``_tag``, writes every element, and every number in it is
+``_fmt``: ``f"{v:.2f}"`` with trailing zeros and then a trailing point
+stripped. Polyline coordinates are numpy arrays, computed with the float
+operations of one value, and written by ``_cells`` from digit tables where
+one IEEE multiply proves the ``%.2f`` rounding, and by ``_fmt`` elsewhere.
+The bytes depend only on the inputs; ``tests/test_golden.py`` pins them.
 """
 
 from __future__ import annotations
@@ -57,12 +57,51 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
-def _fmt_all(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every value of a 1-D array, formatted in one pass."""
-    text = ("%.2f " * values.size) % tuple(values.tolist())
-    # Each value has exactly two decimals and ends at a space: strip its last
-    # zero ("1.50" -> "1.5", "1.00" -> "1.0"), then a lone ".0" ("1.0" -> "1").
-    return text.replace("0 ", " ").replace(".0 ", " ").split()
+def _words(cells: Iterable[str], at: int) -> np.ndarray:
+    """Each cell at byte ``at`` of an 8-byte word, the rest NUL bytes."""
+    text = "".join(("\0" * at + c).ljust(8, "\0") for c in cells)
+    return np.frombuffer(text.encode(), np.uint64)
+
+
+# A proven cell ORs a sign, the integer part 0..999 right-aligned and the two
+# decimals without trailing zeros ("", ".5", ".05") into one 8-byte word.
+_MINUS = _words(["-"], 0)[0]
+_INT_WORDS = _words((str(i).rjust(3, "\0") for i in range(1000)), 1)
+_DEC_WORDS = _words((f".{i:02}".rstrip("0").rstrip(".") for i in range(100)), 4)
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """``_fmt`` of every value of a 1-D array, one NUL-padded ``uint8`` row each.
+
+    A cell is proven when ``y = |v| * 100`` (one IEEE multiply) is below
+    99999.5 and within ``0.5 - 1e-6`` of ``m = floor(y + 0.5)``: the exact
+    ``|v| * 100`` is then within 1e-11 of ``y``, so ``%.2f`` rounds to ``m``.
+    Its bytes come from the tables, with ``-`` wherever the sign bit is set
+    (``_fmt(-0.001) == "-0"``); ``_fmt`` writes every other cell (ties such
+    as 0.125, 1000 and more, nan). Rows are 8 bytes or the widest such cell.
+    """
+    y = np.abs(values) * 100.0
+    m = np.floor(np.minimum(y, 1e6) + 0.5)  # no inf - inf for an infinite y
+    proven = (y < 99999.5) & (np.abs(y - m) <= 0.5 - 1e-6)
+    ip, dp = np.divmod(np.where(proven, m, 0.0).astype(np.intp), 100)
+    words = _INT_WORDS[ip] | _DEC_WORDS[dp] | np.signbit(values) * _MINUS
+    others = [_fmt(v).encode() for v in values[~proven].tolist()]
+    width = max([8, *map(len, others)])
+    cells = np.zeros((values.size, width), np.uint8)
+    cells[:, :8] = words.view(np.uint8).reshape(-1, 8)
+    cells[~proven] = np.array(others, f"S{width}").view(np.uint8).reshape(-1, width)
+    return cells
+
+
+def _points(x_cells: np.ndarray, y_cells: np.ndarray) -> str:
+    """The ``points`` attribute ``"x,y x,y ..."`` of two cell matrices."""
+    n, wx = x_cells.shape
+    row = np.empty((n, wx + y_cells.shape[1] + 2), np.uint8)
+    row[:, :wx] = x_cells
+    row[:, wx] = ord(",")
+    row[:, wx + 1 : -1] = y_cells
+    row[:, -1] = ord(" ")
+    return row.tobytes()[:-1].translate(None, b"\0").decode("ascii")
 
 
 def _to_pixels(v, lo: float, hi: float, start: float, span: float):
@@ -143,10 +182,8 @@ def render_line_chart(
 
     if x_range is None:
         x_range = _autorange(np.concatenate([x for x, _ in data]))
-    y_all = [y for _, y in data]
-    if hline is not None:
-        y_all.append(np.asarray([hline], dtype=float))
-    y_lo, y_hi = _autorange(np.concatenate(y_all))
+    y_all = np.concatenate([y for _, y in data])
+    y_lo, y_hi = _autorange(y_all if hline is None else np.append(y_all, float(hline)))
     x_lo, x_hi = map(float, x_range)
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValueError("axis ranges must have positive extent")
@@ -189,20 +226,23 @@ def render_line_chart(
         py = _to_pixels(float(hline), *y_axis)
         out.append(_line(_MARGIN_LEFT, py, x_axis_end, py, _RULE, stroke_dasharray="6 4"))
 
+    # One pass formats the y pixels of every series.
+    ends = np.cumsum([y.size for _, y in data])
+    y_cells = np.split(_cells(_to_pixels(y_all, *y_axis)), ends[:-1])
     plotted = []
-    shared_x = xs = None
-    for i, (xa, ya) in enumerate(data):
+    shared_x = x_cells = None
+    for i, ((xa, _), ys) in enumerate(zip(data, y_cells)):
         color = _series_color(i, len(data))
         # Spectra charts pass one grid for every series: format it once.
         if shared_x is None or not np.array_equal(xa, shared_x):
-            shared_x, xs = xa, _fmt_all(_to_pixels(xa, *x_axis))
-        ys = _fmt_all(_to_pixels(ya, *y_axis))
-        points = " ".join(map(",".join, zip(xs, ys)))
+            shared_x, x_cells = xa, _cells(_to_pixels(xa, *x_axis))
+        points = _points(x_cells, ys)
         style = dict(fill="none", stroke=color, stroke_width=1.5)
         plotted.append(_tag("polyline", **style, points=points))
         if markers:
             plotted.extend(
-                _tag("circle", cx=px, cy=py, r=2.5, fill=color) for px, py in zip(xs, ys)
+                _tag("circle", cx=px, cy=py, r=2.5, fill=color)
+                for px, py in (pair.split(",") for pair in points.split(" "))
             )
     out.append(_tag("g", "\n".join(["", *plotted, ""]), clip_path="url(#plot-area)"))
     view = " ".join(map(_fmt, (0, 0, _WIDTH, _HEIGHT)))

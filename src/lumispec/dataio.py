@@ -40,7 +40,6 @@ import functools
 import math
 import os
 import re
-import socket
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -443,6 +442,8 @@ def _lock_is_stale(lock: Path) -> bool:
         pid, host = int(owner["pid"]), owner["host"]
     except (OSError, ValueError, KeyError):
         return False
+    import socket  # only the lock path needs it, and every CLI command imports dataio
+
     if pid <= 0 or host != socket.gethostname():
         return False
     try:
@@ -490,6 +491,8 @@ def write_run(records: list[SweepRecord], run_dir: PathLike) -> None:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataIoError(f"cannot create run directory {out}: {exc}") from exc
+
+    import socket  # for the lock's host name; see _lock_is_stale
 
     lock = out / LOCK_FILE
     if _lock_is_stale(lock):

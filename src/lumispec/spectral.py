@@ -230,11 +230,10 @@ def normalize_above_cutoff(
     peak = intensities[..., above].max(axis=-1, keepdims=True)
     bad = np.flatnonzero(peak <= 0.0)
     if bad.size:
-        # The same rows fail on a slice; the message gives the value of the
-        # mask's reduction, whose order can set the sign of a zero.
-        peak = intensities[..., wavelengths_nm > cutoff_nm].max(axis=-1, keepdims=True)
+        # + 0.0 turns -0.0 into 0.0: the order of the reduction can set the
+        # sign of a zero max, and a row must read the same alone and in a stack.
         raise NonPositiveMaxError(
-            f"max intensity above {cutoff_nm:g} nm is {peak.flat[bad[0]]:g}; "
+            f"max intensity above {cutoff_nm:g} nm is {peak.flat[bad[0]] + 0.0:g}; "
             "cannot normalize",
             row=int(bad[0]),
         )

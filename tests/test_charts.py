@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lumispec.charts import _autorange, _fmt, _fmt_all, _to_pixels, render_line_chart
+from lumispec.charts import _autorange, _cells, _fmt, _to_pixels, render_line_chart
 
 X = np.linspace(0.0, 10.0, 25)
 
@@ -112,16 +112,38 @@ class TestRenderLineChart:
                 ),
                 "8d69fba768a3fe75ce21758846aeef8c68fa62bbb137feb471c75673d7634733",
             ),
+            (
+                # An x range narrower than the data: x pixels from -110099.93
+                # to 991539.41, written by the reference _fmt path.
+                dict(
+                    series=[(X, np.sin(X)), (X, np.cos(X))],
+                    x_range=(1.0, 1.0061),
+                    markers=True,
+                ),
+                "f17346787f9f16edd282f3a58dcb8e194f4cfba1f43f3d35e3650bd3b3bbcc8f",
+            ),
         ],
-        ids=["bare", "escaped", "two-grids"],
+        ids=["bare", "escaped", "two-grids", "fallback"],
     )
     def test_pinned_bytes(self, kwargs, digest):
         svg = render_line_chart(**kwargs)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
+def cell_strings(values):
+    """The cells of ``_cells`` as strings, their NUL padding dropped."""
+    return [bytes(row[row != 0]).decode("ascii") for row in _cells(np.asarray(values, float))]
+
+
+def with_neighbours(values):
+    values = np.asarray(values, float)
+    return np.concatenate(
+        [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+    )
+
+
 class TestBulkFormatting:
-    """``_fmt_all`` and ``_to_pixels`` must reproduce the per-point rule."""
+    """``_cells`` and ``_to_pixels`` must reproduce the per-point rule."""
 
     @pytest.mark.parametrize(
         "values",
@@ -131,12 +153,18 @@ class TestBulkFormatting:
             [-0.0, -0.001, -0.004999, -0.00499, 0.001],  # round to -0.00
             [0.005, 0.015, 0.125, 1.005, 2.675, -2.675, 0.375],  # .005 ties
             [1000.0, 1234.565, 99999.995, 1e6, -1000.004, 736.0],  # >= 1000
+            # Each with both neighbours: every .xx5 from -19.995 to 1200.005,
+            # the edges of the proven range, and cells far wider than a word.
+            with_neighbours((np.arange(-2000, 120_001) + 0.5) / 100),
+            with_neighbours([0.0, -0.0, 999.995, 1000.0]),
+            with_neighbours([1e300, -1e300]),
         ],
     )
-    def test_fmt_all_matches_fmt(self, values):
-        assert _fmt_all(np.array(values)) == [_fmt(v) for v in values]
+    def test_cells_match_fmt(self, values):
+        values = np.asarray(values, float).tolist()
+        assert cell_strings(values) == [_fmt(v) for v in values]
 
-    def test_fmt_all_matches_fmt_random(self):
+    def test_cells_match_fmt_random(self):
         rng = np.random.default_rng(20231107)
         values = np.concatenate(
             [
@@ -145,10 +173,30 @@ class TestBulkFormatting:
                 rng.normal(0.0, 0.01, 20_000),  # many -0.00 and 0.00
             ]
         )
-        assert _fmt_all(values) == [_fmt(v) for v in values.tolist()]
+        assert cell_strings(values) == [_fmt(v) for v in values.tolist()]
 
-    def test_fmt_all_empty(self):
-        assert _fmt_all(np.array([])) == []
+    def test_cells_empty(self):
+        assert cell_strings([]) == []
+
+    def test_polyline_with_fallback_cells_matches_scalar_rule(self):
+        # x pixels from -110099.93 to 991539.41: every x cell takes the _fmt path.
+        y = np.sin(X)
+        svg = render_line_chart([(X, y)], x_range=(1.0, 1.0061), markers=True)
+        y_lo, y_hi = _autorange(y)
+        root = ET.fromstring(svg)
+        ns = "{http://www.w3.org/2000/svg}"
+        (got,) = [el.get("points") for el in root.iter(f"{ns}polyline")]
+        circles = [(el.get("cx"), el.get("cy")) for el in root.iter(f"{ns}circle")]
+        pairs = [
+            (
+                _fmt(64 + (px - 1.0) / (1.0061 - 1.0) * 672.0),
+                _fmt(40 + (y_hi - py) / (y_hi - y_lo) * 384.0),
+            )
+            for px, py in zip(X.tolist(), y.tolist())
+        ]
+        assert got == " ".join(f"{a},{b}" for a, b in pairs)
+        assert circles == pairs
+        assert float(pairs[0][0]) < 0 and float(pairs[-1][0]) > 990_000
 
     def test_x_pixels_bit_equal_to_scalar_formula(self):
         grid = 400.0 + np.arange(801) * 0.5  # the instrument grid

@@ -101,8 +101,9 @@ def test_calibration_runs_once_as_a_module():
 def test_cli_import_loads_no_xml_or_network_modules():
     """Every CLI command is a fresh interpreter, so ``import lumispec.cli``
     must not drag in the XML and network stack (``xml.sax.saxutils`` alone
-    loads ``urllib.request``, ``http.client`` and ``ssl``)."""
+    loads ``urllib.request``, ``http.client`` and ``ssl``; ``socket``, which
+    only the run lock needs, loads ``selectors``)."""
     done = run_fresh("-c", "import sys, lumispec.cli; print(sorted(m for m in "
-                     "('xml.sax', 'urllib.request', 'http.client', 'ssl') "
-                     "if m in sys.modules))")
+                     "('xml.sax', 'urllib.request', 'http.client', 'ssl', "
+                     "'socket', 'selectors') if m in sys.modules))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

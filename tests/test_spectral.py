@@ -397,7 +397,7 @@ class TestCachedMasks:
 
     def test_non_positive_max_message_keeps_the_sign_of_zero(self):
         # The slice and the mask reduce a stack in different orders, which can
-        # pick a different zero; the message must still be the mask's.
+        # pick a different zero; the message must not depend on which.
         w = Spectrum(grid(), np.ones(801)).wavelengths_nm
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -406,6 +406,23 @@ class TestCachedMasks:
                      for g in (w.copy(), w, w)]
             assert found[0][0] is NonPositiveMaxError
             assert found[1] == found[0] and found[2] == found[0]
+
+
+    def test_non_positive_max_message_same_for_a_row_alone_and_in_its_stack(self):
+        # Every row of these stacks has a max <= 0; draw 141 has a row whose
+        # max reads "-0" alone and "0" in its stack without the + 0.0.
+        w = Spectrum(grid(), np.ones(801)).wavelengths_nm
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            stack = rng.choice([-0.0, 0.0, -1.0], size=(3, 801))
+            for g in (w.copy(), w):
+                for i in range(3):
+                    kind, message, row = self.raised(
+                        lambda: normalize_above_cutoff(g, stack[i:], 450.0)
+                    )
+                    assert (kind, row) == (NonPositiveMaxError, 0)
+                    alone = self.raised(lambda: normalize_above_cutoff(g, stack[i], 450.0))
+                    assert alone == (kind, message, 0)
 
 
 class TestAucProfile:
