@@ -285,9 +285,14 @@ def cmd_export_svg(args: argparse.Namespace) -> int:
     return 0
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # main()'s, built on its first call
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
         # Errors in a subcommand's flags print that subcommand's usage line.
         sub = args.parser
         if args.command == "simulate":

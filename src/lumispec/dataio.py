@@ -217,11 +217,11 @@ _MAX_WAVELENGTH_CELL = 16  # 15 digits: every such integer is exact in float64
 _POW10 = np.array([float(10 ** i) for i in range(23)])
 
 
-def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``buf`` from each of ``starts``, one byte place
-    per row: ``out[i, j] == buf[starts[j] + i]``."""
+def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each of ``starts``, one row per
+    start: ``out[j, i] == buf[starts[j] + i]``."""
     items = np.ndarray((buf.size - width + 1,), f"V{width}", buf, strides=(1,))
-    return np.ascontiguousarray(items[starts].view(np.uint8).reshape(-1, width).T)
+    return items[starts].view(np.uint8).reshape(-1, width)
 
 
 def _places_fit(places: np.ndarray, low: bytes, high: bytes) -> bool:
@@ -240,6 +240,16 @@ def _integers(ascii_rows: np.ndarray) -> np.ndarray:
         value += row
     value -= ord("0") * ((10 ** len(ascii_rows) - 1) // 9)
     return value
+
+
+# An intensity with exponent +-EE is its mantissa times _MUL[k], divided by
+# _DIV[k], k = 200 * (value < 0) + 100 * (exponent sign "-") + EE. One factor
+# is 1.0, so one IEEE rounding; the sign rides on _MUL, so a zero keeps it.
+# _FITS[k] is whether 10**|+-EE - 9| is exact (see _POW10).
+_POWER = np.array([k % 100 * (1 - 2 * (k // 100 % 2)) - 9 for k in range(400)])
+_FITS = np.abs(_POWER) <= 22
+_MUL = np.repeat([1.0, -1.0], 200) * _POW10[np.clip(_POWER, 0, 22)]
+_DIV = _POW10[np.clip(-_POWER, 0, 22)]
 
 
 def _decode_spectra(files: list[bytes]) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -269,7 +279,7 @@ def _decode_spectra(files: list[bytes]) -> Optional[tuple[np.ndarray, np.ndarray
     if (newlines - starts).min() < _MIN_LINE:
         return None
 
-    tail = _windows(buf, newlines - _TAIL, _TAIL)
+    tail = np.ascontiguousarray(_gather(buf, newlines - _TAIL, _TAIL).T)
     negative = tail[1] == ord("-")
     if (not _places_fit(tail[1:], _TAIL_LOW, _TAIL_HIGH) or (tail[14] == ord(",")).any()
             or (negative & (tail[0] != ord(","))).any()):
@@ -278,9 +288,10 @@ def _decode_spectra(files: list[bytes]) -> Optional[tuple[np.ndarray, np.ndarray
     width = int(widths[0])
     if not 8 <= width <= _MAX_WAVELENGTH_CELL or (widths != width).any():
         return None
-    cells = _windows(buf, starts, width)
-    first = cells[:, :n]
-    if ((cells.reshape(width, len(files), n) != first[:, None]).any()
+    # Every file's cells must equal the first file's; only those are proved.
+    cells = _gather(buf, starts, width).reshape(len(files), n, width)
+    first = np.ascontiguousarray(cells[0].T)
+    if ((cells[1:] != cells[0]).any()
             or not _places_fit(first, b"0" * (width - 7) + b".000000",
                                b"9" * (width - 7) + b".999999")):
         return None
@@ -289,17 +300,15 @@ def _decode_spectra(files: list[bytes]) -> Optional[tuple[np.ndarray, np.ndarray
         return None
     del newlines, starts, widths, cells, first  # keep the peak low: only tail is left to use
 
-    power = _integers(tail[15:])
-    power[tail[14] == ord("-")] *= -1
-    power -= 9
-    size = np.abs(power).astype(np.intp)
-    if size.max() > 22:
+    # k, since tail[1] is "," or "-" and tail[14] "+" or "-" (ord 44|45, 43|45).
+    k = sum(np.multiply(tail[i], w, dtype=np.int16)
+            for i, w in ((1, 200), (14, 50), (15, 10), (16, 1)))
+    k = (k - (200 * ord(",") + 50 * ord("+") + 11 * ord("0"))).astype(np.intp)
+    if not _FITS.take(k).all():
         return None
     values = _integers(tail[[2, *range(4, 13)]])
-    scale = _POW10[size]
-    np.divide(values, scale, out=values, where=power < 0)
-    np.multiply(values, scale, out=values, where=power > 0)
-    np.negative(values, out=values, where=negative)
+    values *= _MUL.take(k)
+    values /= _DIV.take(k)
     return grid, values.reshape(len(files), n)
 
 

@@ -214,6 +214,8 @@ class RunMeta:
         elif self.sphere_radius_mm is not None:
             raise ValueError("flat geometry must not carry a sphere radius")
         _check_int("seed", self.seed, 0)
+        if self.seed >= 2**64:  # Rng keeps the low 64 bits: it would alias a smaller seed
+            raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {self.schema_version!r} "
                              f"(expected {SCHEMA_VERSION})")

@@ -80,8 +80,8 @@ class Rng:
     """Deterministic counter-based random stream (Philox) under a 64-bit seed.
 
     Identical seeds yield identical streams on every platform and thread
-    count. Instances are cheap; derive independent per-trial streams by
-    seeding with ``master_seed ^ trial_index``.
+    count. Instances are cheap. Trial t of a run is seeded ``master_seed ^ t``:
+    distinct within a run, though seed 6's trial 1 is seed 7's trial 0.
     """
 
     def __init__(self, seed: int):

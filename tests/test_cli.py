@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lumispec.cli import SEED_ENV_VAR, main
+from lumispec.cli import SEED_ENV_VAR, build_parser, main
 from lumispec.dataio import read_profile, write_profile
 
 
@@ -163,6 +163,15 @@ class TestSimulate:
         out = tmp_path / "run"
         simulate_flat(capsys, out, "--seed", "7")
         assert b"seed=7" in (out / "meta.txt").read_bytes()
+
+    def test_seed_at_or_above_2_64_refused(self, capsys, tmp_path):
+        # Rng keeps a seed's low 64 bits, so this one would write seed 7's spectra.
+        out = tmp_path / "run"
+        rc, _, err = simulate_flat(capsys, out, "--seed", str(2**64 + 7),
+                                   "--trials", "1", "--n-steps", "2")
+        assert rc == 1
+        assert err == f"error: seed must be below 2**64, got {2**64 + 7}\n"
+        assert not out.exists()
 
     def test_custom_plan_flags(self, capsys, tmp_path):
         out = tmp_path / "run"
@@ -499,3 +508,26 @@ def test_numeric_flag_boundaries(capsys, tmp_path, tiny_run, flag, value, code):
     assert rc == code
     if code == 2:
         assert f"argument {flag}: " in err
+
+
+class TestOneParserPerProcess:
+    """main() parses with one parser per process; no call leaks into the next."""
+
+    def test_usage_error_after_a_successful_command(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        assert simulate_flat(capsys, out, "--trials", "1", "--n-steps", "2")[0] == 0
+        rc, _, err = run_cli(capsys, "export-svg", "--which", "spectra",
+                             "--out", str(tmp_path / "x.svg"))
+        assert rc == 2
+        assert err.startswith("usage: lumispec export-svg ")
+        assert err.splitlines()[-1] == "lumispec export-svg: error: --which spectra requires --run"
+
+    def test_env_seed_read_on_each_call(self, capsys, tmp_path, monkeypatch):
+        for seed in ("5", "6"):
+            monkeypatch.setenv(SEED_ENV_VAR, seed)
+            assert simulate_flat(capsys, tmp_path / seed, "--trials", "1", "--n-steps", "2")[0] == 0
+        for seed in ("5", "6"):
+            assert f"\nseed={seed}\n" in (tmp_path / seed / "meta.txt").read_text()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()

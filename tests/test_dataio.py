@@ -593,7 +593,10 @@ class TestMetaTable:
                   tmp_path / "base")
         base_lines = (tmp_path / "base" / META_FILE).read_text().splitlines()
         owner = next(owner for k, owner, _ in META_FIELDS if k == key)
-        for i, value in enumerate([float("inf"), float("-inf"), float("nan"), 0, -1, 1e300]):
+        values = [float("inf"), float("-inf"), float("nan"), 0, -1, 1e300]
+        if key not in ("n_steps", "trials"):  # a run of 2**64 rows cannot be built
+            values.append(2**64)
+        for i, value in enumerate(values):
             fields = {**base, owner: {**base[owner], key: value}}
             try:
                 plan, meta = SweepPlan(**fields[SweepPlan]), RunMeta(**fields[RunMeta])

@@ -215,6 +215,11 @@ class TestRunMeta:
         for bad in (-1, False):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 RunMeta(**{**good, "seed": bad})
+        # Rng keeps a seed's low 64 bits, so 2**64 + 7 would replay seed 7.
+        RunMeta(**{**good, "seed": 2**64 - 1})
+        for bad in (2**64, 2**64 + 7):
+            with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+                RunMeta(**{**good, "seed": bad})
         with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
             RunMeta(**{**good, "kappa": -1.0})
         for bad in (float("inf"), 10**400):

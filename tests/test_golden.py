@@ -16,11 +16,17 @@ The values read back from those files are pinned too, as sha256 digests of
 the float64 bytes of the wavelength grid and of each trial's intensity
 stack, so a parser that is off by one ulp fails here even though the files
 hash the same.
+
+The cells of those runs that lie within 16 ulp of a "%.9e" rounding tie are
+pinned as well: they are the ones whose bytes another libm could change.
 """
 
 import hashlib
+import math
 import shutil
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lumispec import dataio
@@ -257,6 +263,79 @@ def test_seed7_default_svg_digests(name, capsys, tmp_path, monkeypatch):
         digests[which] = hashlib.sha256(out.read_bytes()).hexdigest()
     capsys.readouterr()
     assert digests == GOLDEN_SVG[name]
+
+
+# The intensity cells of each golden run whose exact value lies within 16 ulp
+# of a "%.9e" tie, as (file, line). Such a cell prints differently if the
+# value moves by a few ulp, as another libm's cos or ** may make it, so its
+# run's digests hold only where those return the same last bit as here.
+TIE_MARGIN_ULPS = 16
+NEAR_TIES = {
+    "flat7": set(),
+    "convex7": {("t0_s01.csv", 201)},  # 499.5 nm: 0.41 ulp above the tie
+}
+
+
+def _tie_gap_ulps(value: float) -> Fraction:
+    """The exact distance of ``value`` from the nearest "%.9e" tie, in its ulps."""
+    x = Fraction(abs(value))
+    e = math.floor(math.log10(abs(value)))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    quantum = Fraction(10) ** (e - 9)
+    tie = (math.floor(x / quantum) + Fraction(1, 2)) * quantum
+    return abs(x - tie) / Fraction(float(np.spacing(abs(value))))
+
+
+def _near_ties(values: np.ndarray, ulps: int) -> np.ndarray:
+    """Flat indices of the ``values`` within ``ulps`` ulp of a "%.9e" tie.
+
+    A float screen keeps every cell within 4 * ``ulps`` (its error is about
+    one ulp), and each candidate is then measured exactly. A zero prints
+    exactly, so it stands in as 1.0, which does too.
+    """
+    v = np.abs(values.ravel())
+    v[v == 0] = 1.0
+    e = np.floor(np.log10(v))
+    y = v * 10.0 ** (9 - e)
+    e += (y >= 1e10).astype(float) - (y < 1e9)  # log10 may miss a decade by one
+    y = v * 10.0 ** (9 - e)
+    gap = np.abs(y - np.floor(y) - 0.5) / (np.spacing(v) * 10.0 ** (9 - e))
+    candidates = np.flatnonzero(gap <= 4 * ulps)
+    return np.array([i for i in candidates if _tie_gap_ulps(float(v[i])) <= ulps], dtype=int)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_TIES))
+def test_cells_near_a_format_tie(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    written = []
+
+    def write_run(records, run_dir):
+        written.extend(records)
+
+    monkeypatch.setattr(dataio, "write_run", write_run)
+    assert main(["simulate", *GOLDEN[name]["argv"], "--seed", "7", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    stack = np.array([r.spectra.intensities for r in written])
+    trials, steps, samples = stack.shape
+    near = {
+        (dataio.spectrum_filename(i // (steps * samples), i // samples % steps), i % samples + 2)
+        for i in _near_ties(stack, TIE_MARGIN_ULPS)
+    }
+    assert near == NEAR_TIES[name]
+
+
+def test_tie_screen_keeps_what_the_exact_gap_keeps():
+    # 81 floats around each of four ties, the last the top tie of a decade.
+    ties = [1.0000000005, -0.31705209755, 7.0000000015e-4, 9.9999999995e-3]
+    values = np.array([t + k * np.spacing(t) for t in ties for k in range(-40, 41)] + [0.0])
+    exact = [i for i, v in enumerate(values) if v and _tie_gap_ulps(v) <= TIE_MARGIN_ULPS]
+    assert list(_near_ties(values, TIE_MARGIN_ULPS)) == exact
+    assert 4 * 32 <= len(exact) <= 4 * 33
+    assert _tie_gap_ulps(1.0000000005) <= 0.5
+    assert _tie_gap_ulps(2.5) > 10**6
 
 
 class _Crash(Exception):
